@@ -138,11 +138,9 @@ fn main() {
                 });
 
                 // The adaptive dispatch, as the serve layer runs it on
-                // every miss: plan → dispatch → observe. `with_forced
-                // (None)` shields the row from a stray GIR_FORCE_PATH
-                // in the environment.
+                // every miss: plan → dispatch → observe.
                 let planner_id = format!("planner/{}/n{n}/d{d}", m.label());
-                let planner = Planner::with_forced(None);
+                let planner = Planner::new();
                 let st = engine.gir_indexed(&q, k, m, &index).expect("probe").stats;
                 pages.insert(planner_id.clone(), (st.topk_pages, st.gir_pages));
                 // The skyline is static between bench iterations; probe

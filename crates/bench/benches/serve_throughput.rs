@@ -1,13 +1,13 @@
 //! Serving-subsystem throughput: thread-scaling of the batch executor
-//! with the sharded GIR cache, plus a write-mixed workload comparing
-//! the incremental delta-repair pipeline against the PR 1 sweep
-//! baseline.
+//! with the sharded GIR cache, plus a write-mixed workload through the
+//! update pipeline (plain, with the observability collector installed,
+//! and over four in-process shards).
 //!
 //! Not a paper figure — this tracks the ROADMAP's production-scale
 //! direction. Writes machine-readable results to `BENCH_serve.json`
-//! (one object per row, tagged with thread count, maintenance mode and
-//! workload shape) so the perf trajectory is recorded across PRs and
-//! gated in CI (`perf_gate`).
+//! (one object per row, tagged with thread count, mode and workload
+//! shape) so the perf trajectory is recorded across PRs and gated in
+//! CI (`perf_gate`).
 //!
 //! Knobs: `GIR_N` (dataset size, default 20000), `GIR_SERVE_QUERIES`
 //! (total queries, default 12000), `GIR_SERVE_THREADS`
@@ -19,9 +19,7 @@ use gir_bench::report::Table;
 use gir_datagen::{synthetic, Distribution};
 use gir_query::ScoringFunction;
 use gir_rtree::RTree;
-use gir_serve::{
-    mixed_workload, GirServer, MaintenanceMode, ServeStats, ServerConfig, WorkloadConfig,
-};
+use gir_serve::{mixed_workload, GirServer, ServeStats, ServerConfig, WorkloadConfig};
 use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
 use std::io::Write;
 use std::sync::Arc;
@@ -40,14 +38,12 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Replays `traffic` against a fresh server and returns the aggregate
-/// stats plus total facet repairs.
+/// Replays `traffic` against a fresh single-tree server and returns the
+/// aggregate stats plus total facet repairs.
 fn replay(
     data: &[gir_rtree::Record],
     d: usize,
     threads: usize,
-    maintenance: MaintenanceMode,
-    use_prune_index: bool,
     traffic: &[gir_serve::TrafficBatch],
 ) -> (ServeStats, usize) {
     let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
@@ -59,20 +55,10 @@ fn replay(
             threads,
             shards: 16,
             shard_capacity: 32,
-            maintenance,
-            use_prune_index,
             ..ServerConfig::default()
         },
     );
-    let mut agg = ServeStats::default();
-    let mut repaired = 0usize;
-    for batch in traffic {
-        let report = server.apply_updates(&batch.updates).expect("updates");
-        repaired += report.repaired;
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
-    }
-    (agg, repaired)
+    gir_bench::replay(&server, traffic)
 }
 
 fn json_row(threads: usize, n: usize, mode: &str, workload: &str, stats: &ServeStats) -> String {
@@ -144,14 +130,7 @@ fn main() {
     for &threads in &thread_counts {
         // Fresh tree + server per thread count: identical traffic, cold
         // cache, no cross-contamination.
-        let (agg, _) = replay(
-            &base_data,
-            d,
-            threads,
-            MaintenanceMode::DeltaRepair,
-            true,
-            &traffic,
-        );
+        let (agg, _) = replay(&base_data, d, threads, &traffic);
         if base_qps == 0.0 {
             base_qps = agg.qps;
         }
@@ -169,13 +148,11 @@ fn main() {
     }
     table.print("gir-serve batch executor (delta repair + prune index)");
 
-    // Write-mixed comparison: ≥ 10% updates with competitive churn (hot
-    // inserts shrink cached regions; hot deletes free them again). The
-    // legacy sweep never recovers the lost region volume, so delta
-    // repair must sustain a strictly higher hit rate — the tentpole win
-    // the CI gate (`perf_gate --require-delta-win`) enforces. One
-    // worker thread keeps the A/B free of admission races: same seed ⇒
-    // bit-identical hit counts, on any machine.
+    // Write-mixed workload: ≥ 10% updates with competitive churn (hot
+    // inserts shrink cached regions; hot deletes free them again, and
+    // facet repair wins the lost region volume back). One worker thread
+    // keeps the rows free of admission races: same seed ⇒ bit-identical
+    // hit counts, on any machine.
     let mix_threads = 1;
     let mix = WorkloadConfig {
         updates_per_batch: (wl.queries_per_batch * 12).div_ceil(100),
@@ -203,31 +180,9 @@ fn main() {
         "miss p99 µs",
         "repairs",
     ]);
-    // The A/B/C: PR 1 sweeps, the PR 2 delta pipeline without the
-    // prune index, and the full cold-miss fast path (delta + index).
-    // Same traffic, same machine, single-threaded — the qps and
-    // miss-percentile columns isolate exactly what the prune index
-    // buys on the cold path.
-    for (label, mode, indexed) in [
-        ("sweep", MaintenanceMode::LegacySweep, false),
-        ("delta_noindex", MaintenanceMode::DeltaRepair, false),
-    ] {
-        let (agg, repaired) = replay(&base_data, d, mix_threads, mode, indexed, &mix_traffic);
-        mix_table.row(vec![
-            label.to_string(),
-            format!("{:.0}", agg.qps),
-            format!("{:.1}%", agg.hit_rate() * 100.0),
-            agg.p50_us.to_string(),
-            agg.p99_us.to_string(),
-            agg.miss_p50_us.to_string(),
-            agg.miss_p99_us.to_string(),
-            repaired.to_string(),
-        ]);
-        json_rows.push(json_row(mix_threads, n, label, "mixed", &agg));
-    }
-    // The observability-overhead A/B: the full delta + prune-index
-    // pipeline with and without the gir-obs collector installed (every
-    // span, event and registry metric live). `perf_gate
+    // The observability-overhead A/B: the serve pipeline with and
+    // without the gir-obs collector installed (every span, event and
+    // registry metric live). `perf_gate
     // --max-obs-overhead` gates the enabled-path cost (≤5% qps) on this
     // pair, so the measurement has to be noise-resistant: run the two
     // configurations interleaved, three pairs, and report each side's
@@ -238,53 +193,23 @@ fn main() {
     let mut best_plain: Option<(ServeStats, usize)> = None;
     let mut best_obs: Option<(ServeStats, usize)> = None;
     for _ in 0..3 {
-        let (agg, repaired) = replay(
-            &base_data,
-            d,
-            mix_threads,
-            MaintenanceMode::DeltaRepair,
-            true,
-            &mix_traffic,
-        );
+        let (agg, repaired) = replay(&base_data, d, mix_threads, &mix_traffic);
         if best_plain.as_ref().is_none_or(|(b, _)| agg.qps > b.qps) {
             best_plain = Some((agg, repaired));
         }
         gir_obs::install_global_collector();
-        let (agg, repaired) = replay(
-            &base_data,
-            d,
-            mix_threads,
-            MaintenanceMode::DeltaRepair,
-            true,
-            &mix_traffic,
-        );
+        let (agg, repaired) = replay(&base_data, d, mix_threads, &mix_traffic);
         tracing::clear_collector();
         if best_obs.as_ref().is_none_or(|(b, _)| agg.qps > b.qps) {
             best_obs = Some((agg, repaired));
         }
-    }
-    for (label, (agg, repaired)) in [
-        ("delta", best_plain.expect("three rounds ran")),
-        ("delta_obs", best_obs.expect("three rounds ran")),
-    ] {
-        mix_table.row(vec![
-            label.to_string(),
-            format!("{:.0}", agg.qps),
-            format!("{:.1}%", agg.hit_rate() * 100.0),
-            agg.p50_us.to_string(),
-            agg.p99_us.to_string(),
-            agg.miss_p50_us.to_string(),
-            agg.miss_p99_us.to_string(),
-            repaired.to_string(),
-        ]);
-        json_rows.push(json_row(mix_threads, n, label, "mixed", &agg));
     }
     // The sharded execution path (4 hash shards, shard-local deltas and
     // repair) on the same traffic: its row rides the same perf gate as
     // the single-tree modes (single-thread ⇒ hit rate, qps AND p99 all
     // gated). The deep shard matrix lives in `shard_scaling`
     // (BENCH_shard.json).
-    {
+    let sharded = {
         use gir_shard::{Placement, ShardedGirServer, ShardedServerConfig};
         let server = ShardedGirServer::build(
             d,
@@ -298,16 +223,15 @@ fn main() {
             },
         )
         .expect("sharded build");
-        let mut agg = ServeStats::default();
-        let mut repaired = 0usize;
-        for batch in &mix_traffic {
-            let report = server.apply_updates(&batch.updates).expect("updates");
-            repaired += report.repaired;
-            let out = server.run_batch(&batch.queries);
-            agg.merge(&out.stats);
-        }
+        gir_bench::replay(&server, &mix_traffic)
+    };
+    for (label, (agg, repaired)) in [
+        ("delta", best_plain.expect("three rounds ran")),
+        ("delta_obs", best_obs.expect("three rounds ran")),
+        ("sharded", sharded),
+    ] {
         mix_table.row(vec![
-            "sharded".to_string(),
+            label.to_string(),
             format!("{:.0}", agg.qps),
             format!("{:.1}%", agg.hit_rate() * 100.0),
             agg.p50_us.to_string(),
@@ -316,11 +240,9 @@ fn main() {
             agg.miss_p99_us.to_string(),
             repaired.to_string(),
         ]);
-        json_rows.push(json_row(mix_threads, n, "sharded", "mixed", &agg));
+        json_rows.push(json_row(mix_threads, n, label, "mixed", &agg));
     }
-    mix_table.print(
-        "update pipeline under churn (sweep vs delta vs delta + prune index vs obs-enabled vs sharded)",
-    );
+    mix_table.print("update pipeline under churn (single tree vs obs-enabled vs sharded)");
 
     let json = format!("[\n  {}\n]\n", json_rows.join(",\n  "));
     // Cargo runs benches with CWD = the package root; anchor the report

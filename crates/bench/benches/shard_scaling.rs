@@ -96,13 +96,7 @@ fn replay_sharded(
         },
     )
     .expect("sharded build");
-    let mut agg = ServeStats::default();
-    for batch in traffic {
-        server.apply_updates(&batch.updates).expect("updates");
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
-    }
-    agg
+    gir_bench::replay(&server, traffic).0
 }
 
 /// Replays `traffic` against a fresh single-tree server (the oracle
@@ -118,13 +112,7 @@ fn replay_single(data: &[Record], d: usize, traffic: &[gir_serve::TrafficBatch])
             ..ServerConfig::default()
         },
     );
-    let mut agg = ServeStats::default();
-    for batch in traffic {
-        server.apply_updates(&batch.updates).expect("updates");
-        let out = server.run_batch(&batch.queries);
-        agg.merge(&out.stats);
-    }
-    agg
+    gir_bench::replay(&server, traffic).0
 }
 
 fn json_row(

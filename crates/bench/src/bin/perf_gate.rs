@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! perf_gate <baseline.json> <fresh.json> [--max-drop 0.25]
-//!           [--hit-rate-only] [--require-delta-win]
+//!           [--hit-rate-only] [--max-obs-overhead 0.05]
+//!           [--require-parallel-win] [--require-planner-win]
 //! ```
 //!
 //! Rows are matched on `(threads, n, mode, workload)`; for every match
@@ -20,14 +21,6 @@
 //! instead of the previous run's artifact. Hit rates are
 //! machine-independent (same seed ⇒ same traffic ⇒ same cache
 //! behaviour).
-//!
-//! `--require-delta-win` additionally asserts the tentpole invariant on
-//! the fresh file alone: in the `mixed` workload, the delta-repair
-//! pipeline must sustain a strictly higher hit rate than the legacy
-//! sweep (bit-deterministic — the bench runs the A/B single-threaded),
-//! and at least 90% of its throughput (strictly-faster is the
-//! expectation; the allowance absorbs wall-clock noise on shared CI
-//! runners while still catching any real inversion).
 //!
 //! `--max-obs-overhead <frac>` gates the observability cost on the
 //! fresh file alone: the mixed-workload `delta_obs` row (collector
@@ -260,7 +253,6 @@ fn rel_rise(base: f64, fresh: f64) -> f64 {
 struct GateConfig {
     max_drop: f64,
     hit_rate_only: bool,
-    require_delta_win: bool,
     /// Maximum relative qps cost of enabling observability
     /// (`delta_obs` vs `delta` on the fresh mixed rows); `None` skips
     /// the check.
@@ -338,33 +330,6 @@ fn gate(baseline: &[Row], fresh: &[Row], cfg: &GateConfig) -> Vec<String> {
     }
     if compared == 0 {
         println!("  (no comparable rows — bench matrix changed; gate is vacuous)");
-    }
-
-    if cfg.require_delta_win {
-        let find = |mode: &str| {
-            fresh
-                .iter()
-                .find(|r| r.workload == "mixed" && r.mode == mode)
-        };
-        match (find("delta"), find("sweep")) {
-            (Some(delta), Some(sweep)) => {
-                if delta.hit_rate <= sweep.hit_rate {
-                    failures.push(format!(
-                        "mixed workload: delta hit rate {:.3} not strictly above sweep {:.3}",
-                        delta.hit_rate, sweep.hit_rate
-                    ));
-                }
-                if delta.qps < 0.90 * sweep.qps {
-                    failures.push(format!(
-                        "mixed workload: delta qps {:.0} below 90% of sweep qps {:.0}",
-                        delta.qps, sweep.qps
-                    ));
-                }
-            }
-            _ => failures.push(
-                "--require-delta-win: fresh file lacks mixed-workload rows for both modes".into(),
-            ),
-        }
     }
 
     if let Some(max_overhead) = cfg.max_obs_overhead {
@@ -484,7 +449,6 @@ fn main() -> ExitCode {
     let mut cfg = GateConfig {
         max_drop: 0.25,
         hit_rate_only: false,
-        require_delta_win: false,
         max_obs_overhead: None,
         require_parallel_win: false,
         require_planner_win: false,
@@ -502,7 +466,6 @@ fn main() -> ExitCode {
                     .expect("--max-drop needs a number");
             }
             "--hit-rate-only" => cfg.hit_rate_only = true,
-            "--require-delta-win" => cfg.require_delta_win = true,
             "--require-parallel-win" => cfg.require_parallel_win = true,
             "--require-planner-win" => cfg.require_planner_win = true,
             "--max-obs-overhead" => {
@@ -518,7 +481,7 @@ fn main() -> ExitCode {
     let [baseline_path, fresh_path] = paths.as_slice() else {
         eprintln!(
             "usage: perf_gate <baseline.json> <fresh.json> [--max-drop 0.25] \
-             [--hit-rate-only] [--require-delta-win] [--max-obs-overhead 0.05] \
+             [--hit-rate-only] [--max-obs-overhead 0.05] \
              [--require-parallel-win] [--require-planner-win]"
         );
         return ExitCode::from(2);
@@ -528,17 +491,12 @@ fn main() -> ExitCode {
     let baseline = parse_rows(&read(baseline_path));
     let fresh = parse_rows(&read(fresh_path));
     println!(
-        "perf gate: {} baseline row(s) vs {} fresh row(s), max drop {:.0}%{}{}{}",
+        "perf gate: {} baseline row(s) vs {} fresh row(s), max drop {:.0}%{}{}",
         baseline.len(),
         fresh.len(),
         100.0 * cfg.max_drop,
         if cfg.hit_rate_only {
             " (hit-rate only)"
-        } else {
-            ""
-        },
-        if cfg.require_delta_win {
-            " + delta-win"
         } else {
             ""
         },
@@ -579,7 +537,6 @@ mod tests {
         GateConfig {
             max_drop: 0.25,
             hit_rate_only: false,
-            require_delta_win: false,
             max_obs_overhead: None,
             require_parallel_win: false,
             require_planner_win: false,
@@ -588,7 +545,6 @@ mod tests {
     }
 
     const DELTA: &str = r#"{"threads":4,"n":8000,"mode":"delta","workload":"mixed","stats":{"queries":4000,"hits":3000,"misses":1000,"hit_rate":0.7500,"threads":4,"method":"FP","wall_ms":100.0,"qps":4000.0,"p50_us":12,"p95_us":80,"p99_us":300,"max_us":900}}"#;
-    const SWEEP: &str = r#"{"threads":4,"n":8000,"mode":"sweep","workload":"mixed","stats":{"queries":4000,"hits":2000,"misses":2000,"hit_rate":0.5000,"threads":4,"method":"FP","wall_ms":130.0,"qps":3100.0,"p50_us":14,"p95_us":90,"p99_us":350,"max_us":950}}"#;
 
     #[test]
     fn parses_tagged_and_legacy_rows() {
@@ -677,24 +633,6 @@ mod tests {
         let mut other = row(DELTA);
         other.n = 20_000;
         assert!(gate(&[other], &[row(DELTA)], &cfg).is_empty());
-    }
-
-    #[test]
-    fn delta_win_requirement() {
-        let cfg = GateConfig {
-            require_delta_win: true,
-            ..base_cfg()
-        };
-        let fresh = vec![row(DELTA), row(SWEEP)];
-        assert!(gate(&[], &fresh, &cfg).is_empty());
-
-        // Sweep catching up on hit rate must trip the gate.
-        let mut tied = row(SWEEP);
-        tied.hit_rate = 0.75;
-        assert_eq!(gate(&[], &[row(DELTA), tied], &cfg).len(), 1);
-
-        // Missing rows trip it too.
-        assert_eq!(gate(&[], &[row(DELTA)], &cfg).len(), 1);
     }
 
     /// A `BENCH_shard.json` serving row, as `shard_scaling` writes it.

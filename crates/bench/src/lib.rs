@@ -22,4 +22,4 @@ pub mod runner;
 
 pub use params::Params;
 pub use report::Table;
-pub use runner::{build_tree, run_cell, BenchDataset, CellResult};
+pub use runner::{build_tree, replay, run_cell, BenchDataset, CellResult};

@@ -5,6 +5,7 @@ use gir_datagen::{hotel_like, house_like, random_queries, synthetic, Distributio
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, ScoringFunction};
 use gir_rtree::{RTree, Record};
+use gir_serve::{ServeStats, Server, ShardBackend, TrafficBatch};
 use gir_storage::{CostModel, MemPageStore, PageStore, PAGE_SIZE};
 use std::sync::Arc;
 use std::time::Instant;
@@ -150,6 +151,23 @@ pub fn cp_feasible(skyline_size: f64, d: usize) -> bool {
         .max(2.0)
         .powf((d as f64 / 2.0).floor().max(1.0));
     projected < 5e10
+}
+
+/// Replays mixed traffic (each batch's updates, then its queries)
+/// against a serve core — whichever backend is behind it — and returns
+/// the aggregate stats plus the total facet repairs.
+pub fn replay<B: ShardBackend>(
+    server: &Server<B>,
+    traffic: &[TrafficBatch],
+) -> (ServeStats, usize) {
+    let mut agg = ServeStats::default();
+    let mut repaired = 0usize;
+    for batch in traffic {
+        let report = server.apply_updates(&batch.updates).expect("updates");
+        repaired += report.repaired;
+        agg.merge(&server.run_batch(&batch.queries).stats);
+    }
+    (agg, repaired)
 }
 
 #[cfg(test)]

@@ -50,11 +50,10 @@
 //! bounded, so a workload where reuse never materializes converges back
 //! to the true argmin.
 //!
-//! The `GIR_FORCE_PATH` environment variable (`cold`,
-//! `indexed_recompute`, `indexed_reuse`, `sharded`) pins every decision
-//! to one path so any suspected mispick is reproducible in isolation;
-//! the planner is proven bit-identical to every forced path by
-//! differential tests.
+//! [`Planner::with_forced`] (the servers' `force_path` config field)
+//! pins every decision to one path so any suspected mispick is
+//! reproducible in isolation; the planner is proven bit-identical to
+//! every forced path by differential tests.
 
 use crate::engine::Method;
 use crate::region::RegionKind;
@@ -122,25 +121,13 @@ impl MissPath {
         MissPath::Sharded,
     ];
 
-    /// Stable label used by `GIR_FORCE_PATH`, `planner.*` counters and
-    /// EXPLAIN output.
+    /// Stable label used by `planner.*` counters and EXPLAIN output.
     pub fn label(&self) -> &'static str {
         match self {
             MissPath::Cold => "cold",
             MissPath::IndexedRecompute => "indexed_recompute",
             MissPath::IndexedReuse => "indexed_reuse",
             MissPath::Sharded => "sharded",
-        }
-    }
-
-    /// Parses a [`MissPath::label`] (case-insensitive).
-    pub fn parse(s: &str) -> Option<MissPath> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cold" => Some(MissPath::Cold),
-            "indexed_recompute" => Some(MissPath::IndexedRecompute),
-            "indexed_reuse" => Some(MissPath::IndexedReuse),
-            "sharded" => Some(MissPath::Sharded),
-            _ => None,
         }
     }
 
@@ -191,7 +178,7 @@ pub struct PlanInputs {
 pub struct Decision {
     /// The path to dispatch.
     pub path: MissPath,
-    /// True when pinned by `GIR_FORCE_PATH` / a config override.
+    /// True when pinned by a config override.
     pub forced: bool,
     /// True when this was an exploration probe rather than the model's
     /// argmin.
@@ -393,19 +380,13 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// A planner honoring the `GIR_FORCE_PATH` environment variable
-    /// (unset or unparsable ⇒ adaptive).
+    /// An adaptive planner.
     pub fn new() -> Planner {
-        Planner::with_forced(
-            std::env::var("GIR_FORCE_PATH")
-                .ok()
-                .and_then(|s| MissPath::parse(&s)),
-        )
+        Planner::with_forced(None)
     }
 
-    /// A planner with an explicit override, bypassing the environment
-    /// (`None` ⇒ adaptive). Servers route their config-level override
-    /// here so tests never race on env vars.
+    /// A planner with an explicit override (`None` ⇒ adaptive); the
+    /// servers route their `force_path` config field here.
     pub fn with_forced(forced: Option<MissPath>) -> Planner {
         Planner {
             state: Mutex::new(PlannerState::default()),
@@ -756,15 +737,6 @@ mod tests {
             assert!(!d.probe);
         }
         assert_eq!(p.stats().forced, 10);
-    }
-
-    #[test]
-    fn parse_round_trips_labels() {
-        for p in MissPath::ALL {
-            assert_eq!(MissPath::parse(p.label()), Some(p));
-            assert_eq!(MissPath::parse(&p.label().to_uppercase()), Some(p));
-        }
-        assert_eq!(MissPath::parse("warp-drive"), None);
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub mod server;
 pub mod transport;
 pub mod worker;
 
+/// The serve core's backend-generic checks (shared source, test-only).
+#[cfg(test)]
+#[path = "../../serve/src/testkit.rs"]
+mod testkit;
+
 pub use cluster::{ClusterApply, ClusterError, EndpointFactory, RemoteConfig, RemoteShards};
 #[cfg(feature = "process-worker")]
 pub use endpoint::ProcessEndpoint;

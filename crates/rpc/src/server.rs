@@ -1,33 +1,30 @@
-//! The distributed serving layer: `gir_serve`'s executor pattern with
-//! [`RemoteShards`] as the dataset.
+//! The distributed serving layer: the [`gir_serve::Server`] core with
+//! [`RemoteShards`] as its backend.
 //!
 //! [`DistributedGirServer`] is the drop-in distributed twin of
-//! `gir_shard::ShardedGirServer`: the same keyed region cache
-//! ([`ShardedGirCache`]) probes first, misses fan out — here as RPCs to
-//! shard workers instead of in-process pool tasks — and updates run the
-//! same `DeltaBatch` cache reconciliation, with FP repair sweeps
-//! executed worker-side through the [`gir_shard::RepairSweeps`] seam.
+//! `gir_shard::ShardedGirServer`: the same core probes the same keyed
+//! region cache first, misses fan out — here as RPCs to shard workers
+//! instead of in-process pool tasks — and updates run the same
+//! `DeltaBatch` cache reconciliation, with FP repair sweeps executed
+//! worker-side through the [`gir_shard::RepairSweeps`] seam.
 //!
 //! Failure semantics (the PR 4 contract, extended across the wire): a
 //! dead or hung worker fails only the requests that needed it — each
 //! such `TopKResponse` comes back `failed: true` with the shard and
 //! reason in `error`, while the rest of the batch serves normally.
 //! A killed worker stays dead until [`DistributedGirServer::rejoin_dead`]
-//! restores it from snapshot + WAL replay; fresh queries then succeed
-//! again (pinned by `tests/rpc_differential.rs` and `tests/rpc_faults.rs`).
+//! (or the next update batch) restores it from snapshot + WAL replay;
+//! fresh queries then succeed again (pinned by
+//! `tests/rpc_differential.rs` and `tests/rpc_faults.rs`).
 
 use crate::cluster::{ClusterApply, ClusterError, EndpointFactory, RemoteConfig, RemoteShards};
-use gir_core::{CacheKey, GirError, GirOutput, Method, RegionKind};
+use gir_core::plan::Planner;
+use gir_core::{GirError, GirOutput, GirRegion, Method, RepairRequest};
 use gir_query::{QueryVector, Record, ScoringFunction};
 use gir_rtree::RTreeError;
-use gir_serve::{
-    compute_response, execute_batch, BatchResult, CacheStats, ShardedGirCache, TopKRequest,
-    TopKResponse, Update, UpdateReport,
-};
-use gir_shard::{repair_region_sharded_with, repair_region_star_sharded_with, Placement};
+use gir_serve::{Applied, RemovedOwners, Server, ServerConfig, ShardBackend, TopKRequest, Update};
+use gir_shard::{repair_entry_sharded, Placement};
 use gir_storage::StorageError;
-use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
 
 /// Distributed-server configuration.
 #[derive(Debug, Clone)]
@@ -63,12 +60,17 @@ impl Default for DistributedServerConfig {
     }
 }
 
-/// A GIR serving engine whose shards are RPC workers.
-pub struct DistributedGirServer {
-    cluster: RwLock<RemoteShards>,
-    cache: ShardedGirCache,
-    scoring: ScoringFunction,
-    cfg: DistributedServerConfig,
+/// A GIR serving engine whose shards are RPC workers: the serve core
+/// over a [`RemoteShards`] cluster. Everything but construction and the
+/// worker-lifecycle calls is the core's (reached through `Deref`).
+pub struct DistributedGirServer(Server<RemoteShards>);
+
+impl std::ops::Deref for DistributedGirServer {
+    type Target = Server<RemoteShards>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 fn cluster_err_to_rtree(e: ClusterError) -> RTreeError {
@@ -92,175 +94,116 @@ impl DistributedGirServer {
             cfg.placement,
             cfg.data_shards,
             records,
-            cfg.remote.clone(),
+            cfg.remote,
             factory,
         )?;
-        let cache = ShardedGirCache::new(cfg.cache_shards, cfg.cache_capacity);
-        Ok(DistributedGirServer {
-            cluster: RwLock::new(cluster),
-            cache,
-            scoring,
-            cfg,
-        })
-    }
-
-    /// The scoring function requests are evaluated under.
-    pub fn scoring(&self) -> &ScoringFunction {
-        &self.scoring
-    }
-
-    /// The effective Phase-2 method (configured, or SP when the
-    /// scoring function is non-linear — §7.2).
-    pub fn method(&self) -> Method {
-        if self.cfg.method.supports(&self.scoring) {
-            self.cfg.method
-        } else {
-            Method::SkylinePruning
-        }
-    }
-
-    /// Aggregated GIR-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let core = ServerConfig {
+            threads: cfg.threads,
+            shards: cfg.cache_shards,
+            shard_capacity: cfg.cache_capacity,
+            method: cfg.method,
+            durability: None,
+            force_path: None,
+        };
+        Ok(DistributedGirServer(Server::with_backend(
+            cluster, scoring, &core,
+        )))
     }
 
     /// Shards whose worker is currently dead.
     pub fn dead_shards(&self) -> Vec<usize> {
-        self.read_cluster().dead_shards()
+        self.backend().dead_shards()
     }
 
     /// Rejoins every dead worker from snapshot + WAL suffix; returns
     /// how many came back.
     pub fn rejoin_dead(&self) -> Result<usize, ClusterError> {
-        self.read_cluster().rejoin_dead()
-    }
-
-    /// Every live record, gathered through a consistent cut.
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        let cut = self
-            .read_cluster()
-            .cut_all()
-            .map_err(cluster_err_to_rtree)?;
-        Ok(cut.into_iter().flatten().collect())
+        self.backend().rejoin_dead()
     }
 
     /// Shuts every worker down.
     pub fn shutdown(&self) {
-        self.read_cluster().shutdown();
-    }
-
-    fn read_cluster(&self) -> std::sync::RwLockReadGuard<'_, RemoteShards> {
-        self.cluster.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Executes a batch of requests on the coordinator pool:
-    /// cache-probe first, RPC fan-out on miss. Responses preserve
-    /// request order; a failed shard degrades only the responses that
-    /// needed it.
-    pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        let method = self.method();
-        // Hold the read lock for the whole batch: updates (write lock)
-        // apply between batches, never inside one.
-        let cluster = self.read_cluster();
-        let cluster_ref: &RemoteShards = &cluster;
-        let work = requests
-            .len()
-            .saturating_mul(cluster_ref.records().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(cluster_ref, req, method)
-        });
-        drop(cluster);
-        out
-    }
-
-    fn serve_one(&self, cluster: &RemoteShards, req: &TopKRequest, method: Method) -> TopKResponse {
-        gir_serve::serve_traced(req, || {
-            let t0 = Instant::now();
-            let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
-            let lookup_span = tracing::span!("cache_lookup");
-            let found = self.cache.get(&key);
-            drop(lookup_span);
-            if let Some(records) = found {
-                return TopKResponse {
-                    ids: records.iter().map(|r| r.id).collect(),
-                    from_cache: true,
-                    latency_us: t0.elapsed().as_micros() as u64,
-                    failed: false,
-                    pages: 0,
-                    error: None,
-                    explain: None,
-                };
-            }
-            let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = self.serve_miss(cluster, &q, req, method);
-            compute_response(computed, t0, |out| {
-                let _admit_span = tracing::span!("admit");
-                self.cache.admit(&key, out.region, out.result);
-            })
-        })
-    }
-
-    /// One miss over the cluster. There is no planner choice here: with
-    /// workers across a transport the only feasible plan is the
-    /// distributed fan-out, so the span records the path directly.
-    fn serve_miss(
-        &self,
-        cluster: &RemoteShards,
-        q: &QueryVector,
-        req: &TopKRequest,
-        method: Method,
-    ) -> Result<GirOutput, GirError> {
-        let _compute_span =
-            tracing::span!("compute", method = method.label(), path = "distributed");
-        cluster.region(req.kind, q, req.k, method)
-    }
-
-    /// Applies one update batch: rejoin-then-broadcast on the cluster
-    /// ([`RemoteShards::apply`]), then the same cache reconciliation as
-    /// the in-process servers, with FP repair sweeps running
-    /// worker-side over RPC.
-    pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let cluster = self.cluster.write().unwrap_or_else(PoisonError::into_inner);
-        let ClusterApply {
-            mut report,
-            batch,
-            removed_owner,
-        } = cluster.apply(updates).map_err(cluster_err_to_rtree)?;
-        let cluster_ref: &RemoteShards = &cluster;
-        let outcome = self.cache.apply_batch(&batch, |req| {
-            // FP repair needs linear scoring (§7.2); declining keeps
-            // the entry sound but non-maximal.
-            if !req.scoring.is_linear() {
-                return None;
-            }
-            match req.kind {
-                RegionKind::Gir => repair_region_sharded_with(cluster_ref, req, &removed_owner),
-                RegionKind::GirStar => {
-                    repair_region_star_sharded_with(cluster_ref, req, &removed_owner)
-                }
-            }
-        });
-        report.evicted = outcome.evicted;
-        report.repaired = outcome.repaired;
-        report.shrunk = outcome.shrunk;
-        report.untouched = outcome.untouched;
-        Ok(report)
+        self.backend().shutdown();
     }
 }
 
-/// The durability hooks: the consistent cut gathers per-shard records
-/// at one verified epoch across every worker (updates hold the write
-/// lock, so cuts always land on a `DeltaBatch` boundary).
-impl gir_serve::RecoverableServer for DistributedGirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        DistributedGirServer::apply_updates(self, updates)
+/// The remote backend. The consistent cut gathers per-shard records at
+/// one verified epoch across every worker (updates hold the core's
+/// write lock, so cuts always land on a `DeltaBatch` boundary).
+impl ShardBackend for RemoteShards {
+    fn num_records(&self) -> u64 {
+        self.records()
     }
 
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        DistributedGirServer::run_batch(self, requests)
+    fn shard_records(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        self.cut_all().map_err(cluster_err_to_rtree)
     }
 
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        self.read_cluster().cut_all().map_err(cluster_err_to_rtree)
+    /// There is no planner choice here: with workers across a transport
+    /// the only feasible plan is the distributed fan-out, so the span
+    /// records the path directly.
+    fn miss(
+        &self,
+        _planner: &Planner,
+        _scoring: &ScoringFunction,
+        method: Method,
+        q: &QueryVector,
+        req: &TopKRequest,
+    ) -> Result<GirOutput, GirError> {
+        let _compute_span =
+            tracing::span!("compute", method = method.label(), path = "distributed");
+        self.region(req.kind, q, req.k, method)
+    }
+
+    /// Rejoin-then-broadcast on the cluster ([`RemoteShards::apply`]).
+    /// Its `Err` means nothing was applied, so the failure travels with
+    /// an empty delta.
+    fn apply(&mut self, updates: &[Update]) -> Applied {
+        match RemoteShards::apply(self, updates) {
+            Ok(ClusterApply {
+                report,
+                batch,
+                removed_owner,
+            }) => Applied {
+                report,
+                batch,
+                removed_owner,
+                failure: None,
+            },
+            Err(e) => Applied {
+                failure: Some(cluster_err_to_rtree(e)),
+                ..Applied::default()
+            },
+        }
+    }
+
+    /// The in-process repair algorithm, each FP sweep one RPC to the
+    /// owning worker.
+    fn repair(&self, req: &RepairRequest<'_>, removed_owner: &RemovedOwners) -> Option<GirRegion> {
+        repair_entry_sharded(self, req, removed_owner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::ThreadEndpoint;
+    use crate::testkit::{check_updates_stay_fresh, records};
+
+    #[test]
+    fn updates_broadcast_to_workers_and_stay_fresh() {
+        let data = records(600, 3, 0x87);
+        let server = DistributedGirServer::launch(
+            &data,
+            ScoringFunction::linear(3),
+            DistributedServerConfig {
+                data_shards: 2,
+                ..DistributedServerConfig::default()
+            },
+            Box::new(|_| Box::new(ThreadEndpoint::spawn())),
+        )
+        .unwrap();
+        check_updates_stay_fresh(&server, data, || {});
+        server.shutdown();
     }
 }

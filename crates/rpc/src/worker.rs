@@ -176,10 +176,7 @@ impl ShardWorker {
                 if epoch != st.epoch + 1 {
                     return (
                         ShardResponse::Error {
-                            message: format!(
-                                "epoch gap: worker at {}, batch is {epoch}",
-                                st.epoch
-                            ),
+                            message: format!("epoch gap: worker at {}, batch is {epoch}", st.epoch),
                         },
                         false,
                     );
@@ -574,7 +571,10 @@ mod tests {
         let ShardResponse::Error { message } = resp else {
             panic!("expected Error, got {resp:?}");
         };
-        assert!(message.contains("epoch gap"), "reason names the gap: {message}");
+        assert!(
+            message.contains("epoch gap"),
+            "reason names the gap: {message}"
+        );
         // State untouched: the contiguous batch still applies cleanly…
         let (resp, _) = w.handle(ShardRequest::Apply {
             epoch: 1,

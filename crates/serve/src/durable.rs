@@ -1,8 +1,9 @@
 //! Durability tier: WAL-ahead updates, generation snapshots, crash
 //! recovery (ARCHITECTURE.md "Durability").
 //!
-//! [`DurableServer`] wraps any [`RecoverableServer`] (the single-tree
-//! [`GirServer`] or the sharded server in `gir-shard`) and makes its
+//! [`DurableServer`] wraps the serve core — the single-tree
+//! [`GirServer`] itself, or a tier newtype around a [`Server`] (the
+//! sharded server in `gir-shard`), see [`AsServer`] — and makes its
 //! update stream survive a crash:
 //!
 //! * every update batch is encoded as a [`WalBatch`] and **appended to
@@ -31,7 +32,8 @@
 //! appends would land in the old generation's WAL, which recovery no
 //! longer reads.
 
-use crate::server::{BatchResult, GirServer, TopKRequest, Update, UpdateReport};
+use crate::backend::ShardBackend;
+use crate::server::{BatchResult, GirServer, Server, TopKRequest, Update, UpdateReport};
 use gir_core::{SnapshotState, WalBatch, WalOp, WireError};
 use gir_query::{Record, ScoringFunction};
 use gir_rtree::{RTree, RTreeError};
@@ -135,45 +137,20 @@ impl RecoveryReport {
     }
 }
 
-/// The contract a server must meet to sit under [`DurableServer`]:
-/// atomic batch application and a consistent dataset cut.
-///
-/// `consistent_cut` must return the records as of a *batch boundary* —
-/// no concurrent `apply_updates` half-applied, and every cache shard's
-/// `ShardScopes` epoch even. Both implementations get this from their
-/// dataset `RwLock`: updates hold the write lock, the cut takes the
-/// read lock.
-pub trait RecoverableServer {
-    /// Applies one update batch atomically.
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError>;
-    /// Serves a query batch (used by [`DurableServer::run_batch`]).
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult;
-    /// Per-shard records at a batch boundary (single-tree servers
-    /// return one shard).
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError>;
+/// A server that is, or wraps, the serve core: how [`DurableServer`]
+/// reaches [`Server::apply_updates`], [`Server::run_batch`] and
+/// [`Server::consistent_cut`] through a tier's newtype.
+pub trait AsServer {
+    /// The dataset behind the core.
+    type Backend: ShardBackend;
+    /// The core.
+    fn as_server(&self) -> &Server<Self::Backend>;
 }
 
-impl RecoverableServer for GirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        GirServer::apply_updates(self, updates)
-    }
-
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        GirServer::run_batch(self, requests)
-    }
-
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        // records_snapshot holds the tree's read lock; updates hold the
-        // write lock for apply + cache sweep, so this is a boundary.
-        let records = self.records_snapshot()?;
-        debug_assert!(
-            self.maintenance_snapshot()
-                .shards
-                .iter()
-                .all(|s| s.epoch % 2 == 0),
-            "consistent cut observed a cache shard mid-batch"
-        );
-        Ok(vec![records])
+impl<B: ShardBackend> AsServer for Server<B> {
+    type Backend = B;
+    fn as_server(&self) -> &Server<B> {
+        self
     }
 }
 
@@ -217,9 +194,13 @@ struct DurableState {
     snapshot_failures: u64,
 }
 
-/// A [`RecoverableServer`] with a write-ahead log and generation
-/// snapshots underneath. Queries pass through untouched; updates are
-/// logged before they are applied.
+/// A serve core with a write-ahead log and generation snapshots
+/// underneath. Queries pass through untouched; updates are logged
+/// before they are applied.
+///
+/// `S` is the core itself or a tier's newtype around it
+/// ([`AsServer`]). The snapshot is the core's
+/// [`Server::consistent_cut`].
 pub struct DurableServer<S> {
     inner: S,
     dir: Box<dyn LogDir>,
@@ -255,7 +236,11 @@ fn parse_generation(name: &str, prefix: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-impl<S: RecoverableServer> DurableServer<S> {
+impl<S: AsServer> DurableServer<S> {
+    fn core(&self) -> &Server<S::Backend> {
+        self.inner.as_server()
+    }
+
     /// Starts a fresh durable history in `dir`: writes the generation-0
     /// snapshot of `inner`'s current records and an empty WAL. Refuses
     /// to run over a directory that already holds a snapshot
@@ -273,7 +258,10 @@ impl<S: RecoverableServer> DurableServer<S> {
         {
             return Err(DurabilityError::AlreadyExists);
         }
-        let cut = inner.consistent_cut().map_err(DurabilityError::Tree)?;
+        let cut = inner
+            .as_server()
+            .consistent_cut()
+            .map_err(DurabilityError::Tree)?;
         let payload = SnapshotState {
             batches: 0,
             shards: cut,
@@ -362,6 +350,7 @@ impl<S: RecoverableServer> DurableServer<S> {
             let batch = WalBatch::decode(payload).map_err(DurabilityError::Wire)?;
             let updates = updates_from_wal_batch(&batch);
             inner
+                .as_server()
                 .apply_updates(&updates)
                 .map_err(DurabilityError::Tree)?;
             replayed += 1;
@@ -420,7 +409,7 @@ impl<S: RecoverableServer> DurableServer<S> {
             self.degrade("wal append failed");
             return Err(DurabilityError::Wal(e));
         }
-        let report = match self.inner.apply_updates(updates) {
+        let report = match self.core().apply_updates(updates) {
             Ok(r) => r,
             Err(e) => {
                 // The WAL holds the full batch but the in-memory apply
@@ -460,7 +449,7 @@ impl<S: RecoverableServer> DurableServer<S> {
     fn roll_generation(&self, st: &mut DurableState) -> Result<(), RollError> {
         let _span = span!("snapshot_roll", generation = st.generation + 1);
         let cut = self
-            .inner
+            .core()
             .consistent_cut()
             .map_err(|e| RollError::BeforeCommit(DurabilityError::Tree(e)))?;
         let payload = SnapshotState {
@@ -488,7 +477,7 @@ impl<S: RecoverableServer> DurableServer<S> {
     /// Serves a query batch. Works in degraded read-only mode too —
     /// reads never touch the WAL.
     pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        self.inner.run_batch(requests)
+        self.core().run_batch(requests)
     }
 
     /// Forces an fsync of the WAL regardless of policy.

@@ -12,19 +12,21 @@
 //!   hash of `(scoring-function fingerprint, k-bucket)` so lookups from
 //!   different sessions rarely contend. Hit / miss / eviction counters
 //!   aggregate across shards.
-//! * [`GirServer`] — the serving engine: a batch executor that fans a
-//!   slice of [`TopKRequest`]s across a scoped worker pool
-//!   (cache-probe first, compute-and-admit on miss) and returns
-//!   per-batch [`ServeStats`] (latency percentiles, hit rate, Phase-2
-//!   method), plus an update pipeline that coalesces [`Update`]s into a
-//!   `gir_core::DeltaBatch` under the R\*-tree's exclusive lock and
-//!   reconciles every cached entry in one classification pass —
-//!   untouched entries survive, shrunk entries absorb the newcomers'
-//!   half-spaces, deleted facet contributors are *repaired in place*
-//!   (an FP sweep pinned at the cached `p_k`), and only genuinely
-//!   invalidated entries are evicted, so **no cache hit ever serves a
-//!   stale result** and regions do not decay under churn
-//!   ([`MaintenanceMode`]).
+//! * [`Server`] — the serving engine, generic over the dataset behind
+//!   it ([`ShardBackend`]): a batch executor that fans a slice of
+//!   [`TopKRequest`]s across a scoped worker pool (cache-probe first,
+//!   compute-and-admit on miss) and returns per-batch [`ServeStats`]
+//!   (latency percentiles, hit rate, Phase-2 method), plus an update
+//!   pipeline that coalesces [`Update`]s into a `gir_core::DeltaBatch`
+//!   under the dataset's exclusive lock and reconciles every cached
+//!   entry in one classification pass — untouched entries survive,
+//!   shrunk entries absorb the newcomers' half-spaces, deleted facet
+//!   contributors are *repaired in place* (an FP sweep pinned at the
+//!   cached `p_k`), and only genuinely invalidated entries are evicted,
+//!   so **no cache hit ever serves a stale result** and regions do not
+//!   decay under churn. [`GirServer`] is the core over one R\*-tree
+//!   ([`SingleTree`]); `gir-shard` and `gir-rpc` put S in-process trees
+//!   and S remote workers behind the same core.
 //! * [`workload`] — a deterministic mixed query/update traffic
 //!   generator for the serve driver and throughput bench.
 //!
@@ -55,24 +57,32 @@
 //! assert!(batch.stats.hits > 0); // jittered repeats fall in cached GIRs
 //! ```
 
+pub mod backend;
 pub mod durable;
 pub mod server;
 pub mod sharded;
 pub mod stats;
+#[cfg(test)]
+mod testkit;
 pub mod workload;
 
+// `testkit.rs` is shared with the sibling crates' unit tests, so it
+// names this crate from outside.
+#[cfg(test)]
+extern crate self as gir_serve;
+
+pub use backend::{planned_miss, Applied, RemovedOwners, ShardBackend, SingleTree};
 pub use durable::{
-    updates_from_wal_batch, wal_batch_from_updates, DurabilityConfig, DurabilityError,
-    DurableServer, RecoverableServer, RecoveryReport,
+    updates_from_wal_batch, wal_batch_from_updates, AsServer, DurabilityConfig, DurabilityError,
+    DurableServer, RecoveryReport,
 };
 pub use gir_core::plan::{MissPath, PlannerStats};
 pub use gir_core::RegionKind;
 pub use server::{
-    compute_response, execute_batch, record_planner_phase, serve_traced, BatchResult, GirServer,
-    MaintenanceMode, ServerConfig, TopKRequest, TopKResponse, Update, UpdateReport,
+    BatchResult, GirServer, Server, ServerConfig, TopKRequest, TopKResponse, Update, UpdateReport,
 };
 pub use sharded::{CacheStats, ShardedGirCache, APPLY_SLOTS};
-pub use stats::{publish_planner_decision, ServeStats};
+pub use stats::ServeStats;
 pub use workload::{mixed_workload, TrafficBatch, WorkloadConfig};
 
 #[cfg(test)]

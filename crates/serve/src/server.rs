@@ -1,35 +1,20 @@
-//! The serving engine: batch executor + update pipeline.
+//! The serve core: one batch executor and one update tail over any
+//! [`ShardBackend`].
 
+use crate::backend::{Applied, ShardBackend, SingleTree};
 use crate::sharded::{CacheStats, ShardedGirCache};
 use crate::stats::ServeStats;
-use gir_core::plan::{Decision, MissPath, PlanInputs, Planner, PlannerStats};
-use gir_core::{
-    repair_region, repair_region_star, CacheKey, DeltaBatch, GirEngine, GirError, GirOutput,
-    Method, PruneIndex, PruneIndexStats, RegionKind, ShardView,
-};
+use gir_core::plan::{MissPath, Planner, PlannerStats};
+use gir_core::{CacheKey, GirError, GirOutput, Method, PruneIndexStats, RegionKind};
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, Record, ScoringFunction};
 use gir_rtree::{RTree, RTreeError};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-/// How the cache is reconciled with dataset updates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MaintenanceMode {
-    /// The PR 1 pipeline: every update sweeps every cached entry
-    /// (insertions shrink or evict; deletions evict result members and
-    /// silently leave shrunk regions shrunk forever).
-    LegacySweep,
-    /// The incremental engine: updates coalesce into a
-    /// [`gir_core::DeltaBatch`], each entry is classified once per
-    /// batch, and deleted facet contributors trigger an in-place facet
-    /// repair ([`gir_core::repair_region`]) instead of permanent
-    /// region loss.
-    #[default]
-    DeltaRepair,
-}
-
-/// Serving-engine configuration.
+/// Serving-engine configuration: the single-tree server's input, and
+/// the form the sharded and distributed configs convert into for the
+/// core ([`Server::with_backend`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads per batch (clamped to ≥ 1).
@@ -41,15 +26,6 @@ pub struct ServerConfig {
     /// Phase-2 method for misses. Non-linear scoring functions fall
     /// back to [`Method::SkylinePruning`] automatically (§7.2).
     pub method: Method,
-    /// Update-pipeline strategy (delta repair unless benchmarking the
-    /// legacy sweeps).
-    pub maintenance: MaintenanceMode,
-    /// Serve cold misses through the shared [`PruneIndex`] (dataset
-    /// skyline + hull + decoded tree mirror + shared Phase-2 systems,
-    /// all maintained incrementally) instead of recomputing the
-    /// pruning structures per query. Off reproduces the PR 2 miss
-    /// path (benchmark baseline).
-    pub use_prune_index: bool,
     /// Durability tier (WAL + snapshots + crash recovery; see
     /// [`crate::durable`]). `None` — the default, and the perf-gate
     /// configuration — serves purely in memory; `Some` is consumed by
@@ -57,11 +33,10 @@ pub struct ServerConfig {
     /// [`crate::durable::DurableServer::recover`].
     pub durability: Option<crate::durable::DurabilityConfig>,
     /// Pins every planned miss to one [`MissPath`], overriding the
-    /// adaptive planner — the config-level twin of the `GIR_FORCE_PATH`
-    /// environment variable (this field wins when both are set; tests
-    /// use it to avoid env races). Only consulted when
-    /// [`ServerConfig::use_prune_index`] is on; the off state is the
-    /// pure-cold PR 2 baseline and bypasses the planner entirely.
+    /// adaptive planner (tests and oracles use it to reproduce one path
+    /// in isolation). With more than one data shard only
+    /// [`MissPath::Sharded`] is feasible, so an infeasible force falls
+    /// back to the sharded plan.
     pub force_path: Option<MissPath>,
 }
 
@@ -75,8 +50,6 @@ impl Default for ServerConfig {
             shards: 16,
             shard_capacity: 32,
             method: Method::FacetPruning,
-            maintenance: MaintenanceMode::default(),
-            use_prune_index: true,
             durability: None,
             force_path: None,
         }
@@ -208,22 +181,18 @@ pub struct UpdateReport {
     pub missed_deletes: usize,
     /// Cache entries dropped as stale.
     pub evicted: usize,
-    /// Cache entries whose facets were rebuilt in place (delta repair
-    /// only).
+    /// Cache entries whose facets were rebuilt in place.
     pub repaired: usize,
     /// Cache entries shrunk in place by newcomers' half-spaces.
     pub shrunk: usize,
-    /// Cache entries the batch did not touch at all (delta repair
-    /// only; the legacy sweeps re-test entries per update).
+    /// Cache entries the batch did not touch at all.
     pub untouched: usize,
 }
 
 /// Fans `requests` across the workspace's shared work-stealing pool
 /// ([`gir_core::pool::fan_out`]) and derives the batch's
-/// [`ServeStats`] from the in-order responses. The executor shared by
-/// [`GirServer::run_batch`] and the sharded server
-/// (`gir_shard::ShardedGirServer`); callers hold whatever dataset lock
-/// their `serve_one` needs for the duration of the call.
+/// [`ServeStats`] from the in-order responses; the caller holds the
+/// dataset read lock for the duration of the call.
 ///
 /// `threads <= 1` runs strictly sequentially on the caller — cache
 /// probe order, and therefore hit counts, are deterministic in that
@@ -234,7 +203,7 @@ pub struct UpdateReport {
 /// of the total work behind the batch (requests × live records — a
 /// request's cost scales with the dataset it reads, not the request
 /// count), gated by `GIR_POOL_MIN_ITEMS` like every other fan-out.
-pub fn execute_batch(
+fn execute_batch(
     requests: &[TopKRequest],
     work_items: usize,
     threads: usize,
@@ -267,9 +236,8 @@ pub fn execute_batch(
 /// Runs `f` — one request's full serve path — under the root `serve`
 /// span, and when the request asked for EXPLAIN, inside a thread-local
 /// capture whose finished span tree is distilled into the response's
-/// [`gir_obs::ExplainReport`]. Shared by both servers so the sharded
-/// miss path reports the same phase taxonomy as the single-dataset one.
-pub fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopKResponse {
+/// [`gir_obs::ExplainReport`].
+fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopKResponse {
     let capture = req.explain.then(tracing::Capture::begin);
     let serve_span = tracing::span!("serve", kind = req.kind.label(), k = req.k);
     let mut resp = f();
@@ -292,113 +260,86 @@ pub fn serve_traced(req: &TopKRequest, f: impl FnOnce() -> TopKResponse) -> TopK
 }
 
 /// Maps a miss computation's outcome to a response, handing successful
-/// outputs to `admit` (cache insertion) first. Shared by both servers:
+/// outputs to `admit` (cache insertion) first:
 ///
 /// * an empty dataset serves an empty result (not a failure),
-/// * a storage fault marks this response `failed` without poisoning
-///   the batch — nothing was admitted, and a failed prune-index
-///   build/maintenance step invalidated itself, so later requests
-///   recompute from scratch once the store heals
+/// * a storage fault or an unavailable shard marks this response
+///   `failed` without poisoning the batch — nothing was admitted, and a
+///   failed prune-index build/maintenance step invalidated itself, so
+///   later requests recompute from scratch once the store heals
 ///   (`tests/failure_injection.rs`),
 /// * anything else (a configuration error like unsupported scoring)
 ///   panics: retries cannot fix it.
-pub fn compute_response(
-    computed: Result<gir_core::GirOutput, GirError>,
+fn compute_response(
+    computed: Result<GirOutput, GirError>,
     started: Instant,
-    admit: impl FnOnce(gir_core::GirOutput),
+    admit: impl FnOnce(GirOutput),
 ) -> TopKResponse {
+    let mut resp = TopKResponse {
+        ids: Vec::new(),
+        from_cache: false,
+        latency_us: 0,
+        failed: false,
+        pages: 0,
+        error: None,
+        explain: None,
+    };
     match computed {
         Ok(out) => {
-            let ids = out.result.ids();
-            let pages = out.stats.topk_pages + out.stats.gir_pages;
+            resp.ids = out.result.ids();
+            resp.pages = out.stats.topk_pages + out.stats.gir_pages;
             admit(out);
-            TopKResponse {
-                ids,
-                from_cache: false,
-                latency_us: started.elapsed().as_micros() as u64,
-                failed: false,
-                pages,
-                error: None,
-                explain: None,
-            }
         }
-        Err(GirError::EmptyResult) => TopKResponse {
-            ids: Vec::new(),
-            from_cache: false,
-            latency_us: started.elapsed().as_micros() as u64,
-            failed: false,
-            pages: 0,
-            error: None,
-            explain: None,
-        },
-        Err(e @ GirError::Tree(_)) | Err(e @ GirError::ShardUnavailable { .. }) => TopKResponse {
-            ids: Vec::new(),
-            from_cache: false,
-            latency_us: started.elapsed().as_micros() as u64,
-            failed: true,
-            pages: 0,
-            error: Some(e.to_string()),
-            explain: None,
-        },
+        Err(GirError::EmptyResult) => {}
+        Err(e @ GirError::Tree(_)) | Err(e @ GirError::ShardUnavailable { .. }) => {
+            resp.failed = true;
+            resp.error = Some(e.to_string());
+        }
         Err(e) => panic!("GIR computation failed in serve path: {e}"),
     }
+    resp.latency_us = started.elapsed().as_micros() as u64;
+    resp
 }
 
-/// Annotates an open EXPLAIN `planner` span with one decision: the
-/// chosen path plus every alternative's estimate in microseconds
-/// (infeasible paths omitted). The caller opens the span *before*
-/// planning and drops it before the `compute` span, so the phase row (a
-/// direct child of the root `serve` span) also accounts the planning
-/// work itself. Shared with the sharded server.
-pub fn record_planner_phase(span: &mut tracing::Span, decision: &Decision) {
-    span.record("path", decision.path.label());
-    span.record("forced", decision.forced);
-    span.record("probe", decision.probe);
-    span.record("predicted_us", decision.predicted_ns / 1e3);
-    for p in MissPath::ALL {
-        let est = decision.estimate(p);
-        if est.is_finite() {
-            let key = match p {
-                MissPath::Cold => "cold_us",
-                MissPath::IndexedRecompute => "indexed_recompute_us",
-                MissPath::IndexedReuse => "indexed_reuse_us",
-                MissPath::Sharded => "sharded_us",
-            };
-            span.record(key, est / 1e3);
-        }
-    }
-}
-
-/// A concurrent GIR serving engine over one dataset.
+/// A concurrent GIR serving engine over one dataset, whatever its
+/// shape: the region cache, the miss planner and the update tail are
+/// the same for a single tree ([`GirServer`]), S in-process trees
+/// (`gir_shard::ShardedGirServer`) and S remote workers
+/// (`gir_rpc::DistributedGirServer`); the dataset sits behind
+/// [`ShardBackend`].
 ///
-/// Queries run under a shared read lock on the R\*-tree; updates take
-/// the write lock and sweep the cache before releasing it. See the
+/// Queries run under a shared read lock on the backend; updates take
+/// the write lock and reconcile the cache before releasing it. See the
 /// crate docs for the freshness argument.
-pub struct GirServer {
-    tree: RwLock<RTree>,
+pub struct Server<B> {
+    backend: RwLock<B>,
     cache: ShardedGirCache,
-    prune: PruneIndex,
     planner: Planner,
     scoring: ScoringFunction,
-    cfg: ServerConfig,
+    /// The effective Phase-2 method, resolved once at construction.
+    method: Method,
+    threads: usize,
 }
 
-impl GirServer {
-    /// Builds a server around an existing tree.
-    pub fn new(tree: RTree, scoring: ScoringFunction, cfg: ServerConfig) -> Self {
-        assert_eq!(scoring.dim(), tree.dim(), "scoring dimensionality mismatch");
-        let cache = ShardedGirCache::new(cfg.shards, cfg.shard_capacity);
-        let planner = match cfg.force_path {
-            Some(p) => Planner::with_forced(Some(p)),
-            None => Planner::new(),
+/// The single-tree server.
+pub type GirServer = Server<SingleTree>;
+
+impl<B: ShardBackend> Server<B> {
+    /// Builds the core around `backend`. `cfg.durability` is not the
+    /// core's business ([`crate::DurableServer`] consumes it).
+    pub fn with_backend(backend: B, scoring: ScoringFunction, cfg: &ServerConfig) -> Self {
+        let method = if cfg.method.supports(&scoring) {
+            cfg.method
+        } else {
+            Method::SkylinePruning
         };
-        GirServer {
-            tree: RwLock::new(tree),
-            cache,
-            prune: PruneIndex::new(),
-            planner,
+        Server {
+            backend: RwLock::new(backend),
+            cache: ShardedGirCache::new(cfg.shards, cfg.shard_capacity),
+            planner: Planner::with_forced(cfg.force_path),
             scoring,
-            cfg,
+            method,
+            threads: cfg.threads,
         }
     }
 
@@ -410,11 +351,7 @@ impl GirServer {
     /// The effective Phase-2 method (configured method, or SP when the
     /// scoring function is non-linear — §7.2).
     pub fn method(&self) -> Method {
-        if self.cfg.method.supports(&self.scoring) {
-            self.cfg.method
-        } else {
-            Method::SkylinePruning
-        }
+        self.method
     }
 
     /// Aggregated cache counters.
@@ -424,53 +361,79 @@ impl GirServer {
 
     /// Consistent cut of the cache's per-shard maintenance counters
     /// (see [`ShardedGirCache::maintenance_snapshot`]): safe to call
-    /// concurrently with [`GirServer::apply_updates`], never observes a
+    /// concurrently with [`Server::apply_updates`], never observes a
     /// shard mid-batch.
     pub fn maintenance_snapshot(&self) -> gir_obs::ScopesSnapshot {
         self.cache.maintenance_snapshot()
     }
 
-    /// Prune-index counters (builds, serves, incremental updates,
-    /// shared Phase-2 reuse).
-    pub fn prune_stats(&self) -> PruneIndexStats {
-        self.prune.stats()
+    /// Planner decision counters (per-path tallies, probes, forced
+    /// dispatches, calibrator drift/refit activity). All zero for a
+    /// backend whose misses never consult the planner.
+    pub fn planner_stats(&self) -> PlannerStats {
+        self.planner.stats()
     }
 
-    /// A snapshot of every live record (for verification / debugging;
-    /// takes the read lock).
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        self.read_tree().scan_all()
+    /// The planner's forced-path override, if any
+    /// ([`ServerConfig::force_path`]).
+    pub fn forced_path(&self) -> Option<MissPath> {
+        self.planner.forced()
+    }
+
+    /// The dataset, read-locked — for the tier newtypes' own accessors
+    /// (occupancy, per-shard prune stats, dead shards), which live in
+    /// other crates. Read what you need and drop the guard: it is the
+    /// lock [`Server::apply_updates`] takes for writing, so calling
+    /// that on the same thread while holding it deadlocks, and a guard
+    /// kept alive stalls every writer.
+    pub fn backend(&self) -> RwLockReadGuard<'_, B> {
+        self.backend.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of live records.
     pub fn num_records(&self) -> u64 {
-        self.read_tree().len()
+        self.backend().num_records()
     }
 
-    fn read_tree(&self) -> std::sync::RwLockReadGuard<'_, RTree> {
-        self.tree.read().unwrap_or_else(PoisonError::into_inner)
+    /// Per-shard records at a batch boundary — what a durable snapshot
+    /// persists. Updates hold the write lock for apply + cache
+    /// reconciliation and this takes the read lock, so the cut never
+    /// observes a half-applied batch.
+    pub fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        let backend = self.backend();
+        debug_assert!(
+            self.maintenance_snapshot()
+                .shards
+                .iter()
+                .all(|s| s.epoch % 2 == 0),
+            "consistent cut observed a cache shard mid-batch"
+        );
+        backend.shard_records()
+    }
+
+    /// A snapshot of every live record, shard-major (for verification /
+    /// debugging; takes the read lock).
+    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
+        Ok(self.consistent_cut()?.into_iter().flatten().collect())
     }
 
     /// Executes a batch of requests across the worker pool: cache-probe
     /// first, compute-and-admit on miss. Responses preserve request
-    /// order.
+    /// order; a failed miss degrades only its own response.
     pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        let method = self.method();
         // Hold the read lock for the whole batch: updates apply between
         // batches, never inside one.
-        let tree = self.read_tree();
-        let tree_ref: &RTree = &tree;
+        let backend = self.backend();
+        let backend: &B = &backend;
         let work = requests
             .len()
-            .saturating_mul(tree_ref.len().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(tree_ref, req, method)
-        });
-        drop(tree);
-        out
+            .saturating_mul(backend.num_records().max(1) as usize);
+        execute_batch(requests, work, self.threads, self.method.label(), |req| {
+            self.serve_one(backend, req)
+        })
     }
 
-    fn serve_one(&self, tree: &RTree, req: &TopKRequest, method: Method) -> TopKResponse {
+    fn serve_one(&self, backend: &B, req: &TopKRequest) -> TopKResponse {
         serve_traced(req, || {
             let t0 = Instant::now();
             let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
@@ -489,28 +452,7 @@ impl GirServer {
                 };
             }
             let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = if self.cfg.use_prune_index {
-                // The planner picks the miss path per query (cold /
-                // indexed / sharded) from its measured cost model; the
-                // unconditional index preference this replaces was a
-                // live perf bug at d ≥ 4 (BENCH_cold_gir.json).
-                self.serve_miss_planned(tree, &q, req, method)
-            } else {
-                // `use_prune_index: false` is the pure-cold PR 2
-                // baseline: no shared state, no planner.
-                let compute_span = tracing::span!("compute", method = method.label());
-                let engine = GirEngine::with_scoring(tree, self.scoring.clone());
-                let computed = match req.kind {
-                    RegionKind::Gir => engine.gir(&q, req.k, method),
-                    // The order-insensitive region: its wider polytope
-                    // is the whole point of the request (one entry
-                    // absorbs every query that permutes the same
-                    // composition).
-                    RegionKind::GirStar => engine.gir_star(&q, req.k, method),
-                };
-                drop(compute_span);
-                computed
-            };
+            let computed = backend.miss(&self.planner, &self.scoring, self.method, &q, req);
             compute_response(computed, t0, |out| {
                 let _admit_span = tracing::span!("admit");
                 self.cache.admit(&key, out.region, out.result);
@@ -518,254 +460,81 @@ impl GirServer {
         })
     }
 
-    /// One planned miss: ask the [`Planner`] for the cheapest path,
-    /// record the decision (EXPLAIN `planner` phase + `planner.*`
-    /// counters), dispatch it, and feed the measured latency back into
-    /// the cost model.
-    fn serve_miss_planned(
-        &self,
-        tree: &RTree,
-        q: &QueryVector,
-        req: &TopKRequest,
-        method: Method,
-    ) -> Result<GirOutput, GirError> {
-        // The span opens before input gathering so the planning work
-        // itself is accounted to the `planner` phase, not lost between
-        // phases (the EXPLAIN report asserts phases cover the latency).
-        let mut planner_span = tracing::span!("planner");
-        let pstats = self.prune.stats();
-        let inputs = PlanInputs {
-            n: tree.len() as usize,
-            d: self.scoring.dim(),
-            method,
-            kind: req.kind,
-            skyline: pstats.skyline_size,
-            index_built: self.prune.is_built(),
-            shards: 1,
-        };
-        let decision = self.planner.plan(&inputs);
-        record_planner_phase(&mut planner_span, &decision);
-        drop(planner_span);
-        if decision.forced && decision.path == MissPath::IndexedRecompute {
-            // A *forced* recompute must measure the cold-Phase-2 cost in
-            // isolation (the same technique the cold_gir bench uses), so
-            // the shared systems are dropped before dispatch. The
-            // adaptive planner never clears: an `IndexedRecompute`
-            // prediction just means it expects the lookup to miss.
-            self.prune.clear_phase2();
-        }
-        // Whether the dispatch actually reused a Phase-2 system is read
-        // off the index's hit counter around the call. Concurrent
-        // requests can interleave their deltas — acceptable noise for
-        // calibration, and exact under `threads: 1`.
-        let watch_reuse = decision.path != MissPath::Cold && method != Method::FullScan;
-        let h0 = watch_reuse.then(|| self.prune.phase2_hits());
-        let engine = GirEngine::with_scoring(tree, self.scoring.clone());
-        let compute_span = tracing::span!(
-            "compute",
-            method = method.label(),
-            path = decision.path.label()
-        );
-        let t0 = Instant::now();
-        let computed = match (decision.path, req.kind) {
-            (MissPath::Cold, RegionKind::Gir) => engine.gir(q, req.k, method),
-            (MissPath::Cold, RegionKind::GirStar) => engine.gir_star(q, req.k, method),
-            (MissPath::Sharded, kind) => {
-                // The degenerate one-view sharded plan: same merge and
-                // per-shard Phase-2 machinery as a real fan-out, proven
-                // pointwise identical to the single-tree paths.
-                let view = ShardView {
-                    tree,
-                    index: &self.prune,
-                };
-                match kind {
-                    RegionKind::Gir => {
-                        GirEngine::gir_sharded(&[view], &self.scoring, q, req.k, method)
-                    }
-                    RegionKind::GirStar => {
-                        GirEngine::gir_star_sharded(&[view], &self.scoring, q, req.k, method)
-                    }
-                }
-            }
-            (_, RegionKind::Gir) => engine.gir_indexed(q, req.k, method, &self.prune),
-            (_, RegionKind::GirStar) => engine.gir_star_indexed(q, req.k, method, &self.prune),
-        };
-        let actual_ns = t0.elapsed().as_nanos() as u64;
-        drop(compute_span);
-        // Feeding the measured latency back is real per-miss work
-        // (model update + counter publishes); it gets its own phase so
-        // EXPLAIN shows the calibrator's cost explicitly.
-        let calibrate_span = tracing::span!("calibrate", actual_us = actual_ns as f64 / 1e3);
-        let reused = h0.map(|h| self.prune.phase2_hits() > h);
-        let outcome = self.planner.observe(&decision, actual_ns, reused);
-        if tracing::enabled() {
-            crate::stats::publish_planner_decision(&decision, actual_ns, outcome);
-        }
-        drop(calibrate_span);
-        computed
-    }
-
-    /// Planner decision counters (per-path tallies, probes, forced
-    /// dispatches, calibrator drift/refit activity).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.stats()
-    }
-
-    /// The planner's forced-path override, if any (config field or
-    /// `GIR_FORCE_PATH`).
-    pub fn forced_path(&self) -> Option<MissPath> {
-        self.planner.forced()
-    }
-
-    /// Applies a batch of updates under the tree's write lock and
+    /// Applies a batch of updates under the dataset write lock and
     /// reconciles the cache before the lock is released — queries never
-    /// observe a tree the cache has not been reconciled with.
+    /// observe a dataset the cache has not been reconciled with.
     ///
-    /// Under [`MaintenanceMode::DeltaRepair`] the updates coalesce into
-    /// one [`DeltaBatch`]: every cached entry is classified once for
-    /// the whole burst, untouched entries survive, and only genuinely
-    /// invalidated entries are evicted — deleted facet contributors are
-    /// repaired in place via the pinned FP sweep instead.
-    /// [`MaintenanceMode::LegacySweep`] keeps the PR 1 per-update
-    /// sweeps (benchmark baseline).
+    /// The updates coalesce into one [`gir_core::DeltaBatch`]: every
+    /// cached entry is classified once for the whole burst, untouched
+    /// entries survive, deleted facet contributors are repaired in
+    /// place by the backend, and only genuinely invalidated entries are
+    /// evicted. A backend error is surfaced only *after* the cache has
+    /// been reconciled with every delta that did land, so a stale entry
+    /// can never outlive an already-mutated dataset.
     pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let mut tree = self.tree.write().unwrap_or_else(PoisonError::into_inner);
-        let mut report = UpdateReport::default();
-        match self.cfg.maintenance {
-            MaintenanceMode::LegacySweep => {
-                for u in updates {
-                    match u {
-                        Update::Insert(rec) => {
-                            tree.insert(rec.clone())?;
-                            self.prune.on_insert(rec);
-                            report.inserted += 1;
-                            report.evicted += self.cache.on_insert(rec);
-                        }
-                        Update::Delete { id, attrs } => {
-                            if tree.delete(*id, attrs)? {
-                                // A prune-index failure must not skip the
-                                // cache sweep: the tree is already
-                                // mutated, and the index invalidated
-                                // itself before erroring.
-                                let prune_err = self.prune.on_delete(&tree, *id, attrs).err();
-                                report.deleted += 1;
-                                report.evicted += self.cache.on_delete(*id);
-                                if let Some(e) = prune_err {
-                                    return Err(e);
-                                }
-                            } else {
-                                report.missed_deletes += 1;
-                            }
-                        }
-                    }
-                }
+        let mut backend = self.backend.write().unwrap_or_else(PoisonError::into_inner);
+        let Applied {
+            mut report,
+            batch,
+            removed_owner,
+            failure,
+        } = backend.apply(updates);
+        let backend: &B = &backend;
+        let outcome = self.cache.apply_batch(&batch, |req| {
+            // FP repair needs linear scoring (§7.2); declining keeps
+            // the entry sound but non-maximal.
+            if !req.scoring.is_linear() {
+                return None;
             }
-            MaintenanceMode::DeltaRepair => {
-                // Collect mutations first; on a mid-batch index error the
-                // cache must still be reconciled with the prefix that
-                // *was* applied before the error propagates, or a stale
-                // entry could outlive the already-mutated tree.
-                let mut batch = DeltaBatch::new();
-                let mut failure: Option<RTreeError> = None;
-                for u in updates {
-                    match u {
-                        Update::Insert(rec) => match tree.insert(rec.clone()) {
-                            Ok(()) => {
-                                self.prune.on_insert(rec);
-                                report.inserted += 1;
-                                batch.record_insert(rec);
-                            }
-                            Err(e) => {
-                                failure = Some(e);
-                                break;
-                            }
-                        },
-                        Update::Delete { id, attrs } => match tree.delete(*id, attrs) {
-                            Ok(true) => {
-                                // Record the applied delete *before*
-                                // surfacing a prune-index failure: the
-                                // batch below must reconcile the cache
-                                // with every mutation the tree took
-                                // (the index invalidated itself).
-                                report.deleted += 1;
-                                batch.record_delete_at(*id, attrs);
-                                if let Err(e) = self.prune.on_delete(&tree, *id, attrs) {
-                                    failure = Some(e);
-                                }
-                            }
-                            Ok(false) => report.missed_deletes += 1,
-                            Err(e) => failure = Some(e),
-                        },
-                    }
-                    if failure.is_some() {
-                        break;
-                    }
-                }
-                let tree_ref: &RTree = &tree;
-                let outcome = self.cache.apply_batch(&batch, |req| {
-                    // FP repair needs linear scoring (§7.2); declining
-                    // keeps the entry sound but non-maximal.
-                    if !req.scoring.is_linear() {
-                        return None;
-                    }
-                    match req.kind {
-                        RegionKind::Gir => repair_region(
-                            tree_ref,
-                            req.scoring,
-                            req.result,
-                            req.region,
-                            req.removed,
-                            req.shrinks,
-                        ),
-                        RegionKind::GirStar => repair_region_star(
-                            tree_ref,
-                            req.scoring,
-                            req.result,
-                            req.region,
-                            req.removed,
-                            req.shrinks,
-                        ),
-                    }
-                    .ok()
-                });
-                report.evicted = outcome.evicted;
-                report.repaired = outcome.repaired;
-                report.shrunk = outcome.shrunk;
-                report.untouched = outcome.untouched;
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-            }
+            backend.repair(req, &removed_owner)
+        });
+        report.evicted = outcome.evicted;
+        report.repaired = outcome.repaired;
+        report.shrunk = outcome.shrunk;
+        report.untouched = outcome.untouched;
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(report),
         }
-        Ok(report)
+    }
+}
+
+impl Server<SingleTree> {
+    /// Builds a server around an existing tree.
+    pub fn new(tree: RTree, scoring: ScoringFunction, cfg: ServerConfig) -> Self {
+        assert_eq!(scoring.dim(), tree.dim(), "scoring dimensionality mismatch");
+        Server::with_backend(SingleTree::new(tree), scoring, &cfg)
+    }
+
+    /// Prune-index counters (builds, serves, incremental updates,
+    /// shared Phase-2 reuse).
+    pub fn prune_stats(&self) -> PruneIndexStats {
+        self.backend().prune().stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{
+        check_batch_matches_naive_and_hits_cache, check_nonlinear_scoring_falls_back_to_sp,
+        check_updates_stay_fresh, jittered_requests,
+    };
     use gir_datagen::{synthetic, Distribution};
     use gir_query::naive_topk;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
     use std::sync::Arc;
 
-    fn server(n: usize, d: usize, seed: u64, cfg: ServerConfig) -> (Vec<Record>, GirServer) {
-        let data = synthetic(Distribution::Independent, n, d, seed);
+    fn server_over(data: &[Record], scoring: ScoringFunction, cfg: ServerConfig) -> GirServer {
         let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
-        let tree = RTree::bulk_load(store, &data).unwrap();
-        (
-            data.clone(),
-            GirServer::new(tree, ScoringFunction::linear(d), cfg),
-        )
+        let tree = RTree::bulk_load(store, data).unwrap();
+        GirServer::new(tree, scoring, cfg)
     }
 
-    fn jittered_requests(count: usize, k: usize) -> Vec<TopKRequest> {
-        (0..count)
-            .map(|i| {
-                let j = 0.0005 * (i % 11) as f64;
-                TopKRequest::new(vec![0.55 + j, 0.6 - j, 0.45 + j / 2.0], k)
-            })
-            .collect()
+    fn server(n: usize, d: usize, seed: u64, cfg: ServerConfig) -> (Vec<Record>, GirServer) {
+        let data = synthetic(Distribution::Independent, n, d, seed);
+        let server = server_over(&data, ScoringFunction::linear(d), cfg);
+        (data, server)
     }
 
     #[test]
@@ -775,18 +544,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let (data, server) = server(1500, 3, 0x5E21, cfg);
-        let reqs = jittered_requests(120, 8);
-        let batch = server.run_batch(&reqs);
-        assert_eq!(batch.responses.len(), reqs.len());
-        assert!(
-            batch.stats.hits > 0,
-            "jittered repeats should hit cached GIRs"
-        );
-        assert_eq!(batch.stats.hits + batch.stats.misses, reqs.len());
-        for (req, resp) in reqs.iter().zip(&batch.responses) {
-            let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-            assert_eq!(resp.ids, truth.ids(), "wrong answer at {:?}", req.weights);
-        }
+        check_batch_matches_naive_and_hits_cache(&server, &data);
     }
 
     #[test]
@@ -803,47 +561,8 @@ mod tests {
             threads: 2,
             ..ServerConfig::default()
         };
-        let (mut data, server) = server(1200, 3, 0x5E23, cfg);
-        // Warm the cache.
-        let reqs = jittered_requests(40, 6);
-        let _ = server.run_batch(&reqs);
-        assert!(server.cache_stats().entries > 0);
-
-        // Insert a dominating record: it enters every top-k, so every
-        // cached entry must shrink or drop, and the next batch must
-        // include it at rank 1.
-        let champion = Record::new(9_999_999, vec![0.99, 0.99, 0.99]);
-        data.push(champion.clone());
-        let report = server
-            .apply_updates(&[Update::Insert(champion.clone())])
-            .unwrap();
-        assert_eq!(report.inserted, 1);
-
-        let batch = server.run_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&batch.responses) {
-            let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-            assert_eq!(resp.ids, truth.ids(), "stale response after insert");
-            assert_eq!(resp.ids[0], champion.id);
-        }
-
-        // Delete it again: cached entries containing it must drop.
-        let report = server
-            .apply_updates(&[Update::Delete {
-                id: champion.id,
-                attrs: champion.attrs.clone(),
-            }])
-            .unwrap();
-        data.pop();
-        assert_eq!(report.deleted, 1);
-        assert!(
-            report.evicted > 0,
-            "entries containing the champion must evict"
-        );
-        let batch = server.run_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&batch.responses) {
-            let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-            assert_eq!(resp.ids, truth.ids(), "stale response after delete");
-        }
+        let (data, server) = server(1200, 3, 0x5E23, cfg);
+        check_updates_stay_fresh(&server, data, || {});
     }
 
     #[test]
@@ -865,146 +584,56 @@ mod tests {
     }
 
     #[test]
-    fn delta_repair_sustains_higher_hit_rate_than_legacy_sweep() {
-        use crate::workload::{mixed_workload, WorkloadConfig};
-
-        // Churny write-mixed traffic: competitive inserts shrink cached
-        // regions, recency-biased deletes then remove those records
-        // again. The legacy sweep keeps the shrink half-spaces forever;
-        // delta repair rebuilds the lost facets, so its regions (and hit
-        // counts) must stay strictly ahead — with zero stale hits in
-        // either mode.
-        let wl = WorkloadConfig {
-            dim: 3,
-            anchors: 6,
-            jitter: 0.012,
-            batches: 12,
-            queries_per_batch: 60,
-            updates_per_batch: 10,
-            insert_fraction: 0.5,
-            insert_hot_fraction: 0.7,
-            delete_hot_fraction: 0.8,
-            k_choices: vec![5],
-            seed: 0x00C0_FFEE,
-        };
-        let data = synthetic(Distribution::Independent, 2_000, 3, 0x5E26);
-        let traffic = mixed_workload(&wl, &data);
-
-        let mut hit_counts = Vec::new();
-        for maintenance in [MaintenanceMode::LegacySweep, MaintenanceMode::DeltaRepair] {
-            let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
-            let tree = RTree::bulk_load(store, &data).unwrap();
-            let server = GirServer::new(
-                tree,
-                ScoringFunction::linear(3),
-                ServerConfig {
-                    threads: 1,
-                    maintenance,
-                    ..ServerConfig::default()
-                },
-            );
-            let mut mirror = data.clone();
-            let mut hits = 0usize;
-            let mut repaired = 0usize;
-            for batch in &traffic {
-                let report = server.apply_updates(&batch.updates).unwrap();
-                repaired += report.repaired;
-                for u in &batch.updates {
-                    match u {
-                        Update::Insert(rec) => mirror.push(rec.clone()),
-                        Update::Delete { id, .. } => mirror.retain(|r| r.id != *id),
-                    }
-                }
-                let out = server.run_batch(&batch.queries);
-                for (req, resp) in batch.queries.iter().zip(&out.responses) {
-                    if resp.from_cache {
-                        hits += 1;
-                        let truth = naive_topk(&mirror, server.scoring(), &req.weights, req.k);
-                        assert_eq!(
-                            resp.ids,
-                            truth.ids(),
-                            "{maintenance:?}: stale cache hit at {:?}",
-                            req.weights
-                        );
-                    }
-                }
-            }
-            if maintenance == MaintenanceMode::DeltaRepair {
-                assert!(repaired > 0, "churn must exercise the repair path");
-            } else {
-                assert_eq!(repaired, 0, "legacy sweep never repairs");
-            }
-            hit_counts.push(hits);
-        }
-        assert!(
-            hit_counts[1] > hit_counts[0],
-            "delta repair ({}) must beat the legacy sweep ({}) on hits",
-            hit_counts[1],
-            hit_counts[0]
-        );
-    }
-
-    #[test]
     fn star_requests_serve_fresh_compositions_under_churn() {
-        // Order-insensitive traffic through both maintenance modes:
-        // every cache-served answer must be the true top-k *set* on the
-        // current dataset (order is advisory), with star entries
-        // repaired — not dropped — when churn deletes their facet
-        // contributors.
+        // Order-insensitive traffic: every cache-served answer must be
+        // the true top-k *set* on the current dataset (order is
+        // advisory), with star entries repaired — not dropped — when
+        // churn deletes their facet contributors.
         let sorted = |ids: &[u64]| {
             let mut v = ids.to_vec();
             v.sort_unstable();
             v
         };
-        for maintenance in [MaintenanceMode::LegacySweep, MaintenanceMode::DeltaRepair] {
-            let cfg = ServerConfig {
-                threads: 2,
-                maintenance,
-                ..ServerConfig::default()
-            };
-            let (mut data, server) = server(1200, 3, 0x5E27, cfg);
-            let reqs: Vec<TopKRequest> = (0..60)
-                .map(|i| {
-                    let j = 0.0005 * (i % 11) as f64;
-                    TopKRequest::new(vec![0.55 + j, 0.6 - j, 0.45 + j / 2.0], 6)
-                        .kind(RegionKind::GirStar)
-                })
-                .collect();
-            let batch = server.run_batch(&reqs);
-            assert!(
-                batch.stats.hits > 0,
-                "{maintenance:?}: jittered star repeats should hit"
-            );
-            for (req, resp) in reqs.iter().zip(&batch.responses) {
-                let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-                assert_eq!(sorted(&resp.ids), sorted(&truth.ids()), "{maintenance:?}");
-            }
+        let cfg = ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        };
+        let (mut data, server) = server(1200, 3, 0x5E27, cfg);
+        let reqs: Vec<TopKRequest> = jittered_requests(60, 6)
+            .into_iter()
+            .map(|r| r.kind(RegionKind::GirStar))
+            .collect();
+        let batch = server.run_batch(&reqs);
+        assert!(batch.stats.hits > 0, "jittered star repeats should hit");
+        for (req, resp) in reqs.iter().zip(&batch.responses) {
+            let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
+            assert_eq!(sorted(&resp.ids), sorted(&truth.ids()));
+        }
 
-            // Churn: a hot insert plus a delete of one cached-entry
-            // contributor-ish record, then re-verify every answer.
-            let hot = Record::new(7_777_777, vec![0.68, 0.66, 0.64]);
-            data.push(hot.clone());
-            let victim = data[100].clone();
-            data.retain(|r| r.id != victim.id);
-            server
-                .apply_updates(&[
-                    Update::Insert(hot),
-                    Update::Delete {
-                        id: victim.id,
-                        attrs: victim.attrs.clone(),
-                    },
-                ])
-                .unwrap();
-            let batch = server.run_batch(&reqs);
-            for (req, resp) in reqs.iter().zip(&batch.responses) {
-                let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-                assert_eq!(
-                    sorted(&resp.ids),
-                    sorted(&truth.ids()),
-                    "{maintenance:?}: stale star answer after churn (from_cache={})",
-                    resp.from_cache
-                );
-            }
+        // Churn: a hot insert plus a delete of one cached-entry
+        // contributor-ish record, then re-verify every answer.
+        let hot = Record::new(7_777_777, vec![0.68, 0.66, 0.64]);
+        data.push(hot.clone());
+        let victim = data[100].clone();
+        data.retain(|r| r.id != victim.id);
+        server
+            .apply_updates(&[
+                Update::Insert(hot),
+                Update::Delete {
+                    id: victim.id,
+                    attrs: victim.attrs.clone(),
+                },
+            ])
+            .unwrap();
+        let batch = server.run_batch(&reqs);
+        for (req, resp) in reqs.iter().zip(&batch.responses) {
+            let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
+            assert_eq!(
+                sorted(&resp.ids),
+                sorted(&truth.ids()),
+                "stale star answer after churn (from_cache={})",
+                resp.from_cache
+            );
         }
     }
 
@@ -1043,10 +672,8 @@ mod tests {
     #[test]
     fn nonlinear_scoring_falls_back_to_sp() {
         let data = synthetic(Distribution::Independent, 400, 4, 0x5E25);
-        let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
-        let tree = RTree::bulk_load(store, &data).unwrap();
-        let server = GirServer::new(
-            tree,
+        let server = server_over(
+            &data,
             ScoringFunction::mixed4(),
             ServerConfig {
                 method: Method::FacetPruning,
@@ -1054,11 +681,6 @@ mod tests {
                 ..ServerConfig::default()
             },
         );
-        assert_eq!(server.method(), Method::SkylinePruning);
-        let reqs = vec![TopKRequest::new(vec![0.5, 0.5, 0.5, 0.5], 5)];
-        let batch = server.run_batch(&reqs);
-        let truth = naive_topk(&data, server.scoring(), &reqs[0].weights, 5);
-        assert_eq!(batch.responses[0].ids, truth.ids());
-        assert_eq!(batch.stats.method, "SP");
+        check_nonlinear_scoring_falls_back_to_sp(&server, &data);
     }
 }

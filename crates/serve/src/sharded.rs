@@ -20,10 +20,10 @@
 //! skips when the lock is contended. Eviction order degrades toward
 //! insertion order under pressure; correctness is unaffected.
 //!
-//! Update sweeps ([`ShardedGirCache::on_insert`] /
-//! [`ShardedGirCache::on_delete`]) visit every shard; the serving layer
-//! calls them while holding the tree's write lock, so concurrent
-//! lookups cannot interleave with a half-applied update.
+//! Update reconciliation ([`ShardedGirCache::apply_batch`]) visits
+//! every shard; the serving layer calls it while holding the dataset's
+//! write lock, so concurrent lookups cannot interleave with a
+//! half-applied update.
 
 use gir_core::{BatchOutcome, CacheKey, DeltaBatch, GirCache, GirRegion, RepairRequest};
 #[cfg(test)]
@@ -205,8 +205,8 @@ impl ShardedGirCache {
     /// touch survive; shrunk entries absorb the newcomers' half-spaces
     /// in place; repairable entries go through `repair`; only genuinely
     /// invalidated entries are evicted. The serving layer calls this
-    /// while holding the tree's write lock (same freshness argument as
-    /// the per-update sweeps).
+    /// while holding the dataset's write lock, so no lookup observes a
+    /// half-reconciled cache.
     ///
     /// Shards are independent under their own write locks, so the
     /// per-shard passes fan out across the work-stealing pool
@@ -252,35 +252,6 @@ impl ShardedGirCache {
             out.merge(shard_out);
         }
         out
-    }
-
-    /// Sweeps every shard for a dataset insertion: shrinks overlapping
-    /// regions in place (each under its entry's own scoring function)
-    /// and drops invalidated entries. Returns the number dropped.
-    pub fn on_insert(&self, rec: &Record) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.cache
-                    .write()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .on_insert(rec)
-            })
-            .sum()
-    }
-
-    /// Sweeps every shard for a dataset deletion, dropping entries whose
-    /// result contained the deleted record. Returns the number dropped.
-    pub fn on_delete(&self, deleted_id: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.cache
-                    .write()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .on_delete(deleted_id)
-            })
-            .sum()
     }
 
     /// Aggregated hit/miss/eviction/entry counts.
@@ -425,7 +396,9 @@ mod tests {
         }
         assert_eq!(cache.len(), 5);
         // Every entry contains record 99: all must drop.
-        assert_eq!(cache.on_delete(99), 5);
+        let mut batch = DeltaBatch::new();
+        batch.record_delete(99);
+        assert_eq!(cache.apply_batch(&batch, |_| None).evicted, 5);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 5);
     }

@@ -83,9 +83,8 @@ pub(crate) fn publish_to_registry(labeled: &[(u64, bool)]) {
 /// probes, forced dispatches, calibrator drift/refit activity) plus
 /// predicted/actual latency histograms whose divergence exposes model
 /// error. Callers guard on [`tracing::enabled`] — with no collector
-/// installed the planner costs nothing here. Shared by the single-tree
-/// and sharded servers.
-pub fn publish_planner_decision(
+/// installed the planner costs nothing here.
+pub(crate) fn publish_planner_decision(
     decision: &gir_core::plan::Decision,
     actual_ns: u64,
     outcome: gir_core::plan::ObserveOutcome,

@@ -193,18 +193,8 @@ impl ShardedDataset {
         gir_star_sharded(&self.views(), scoring, q, k, method)
     }
 
-    /// Every live record, concatenated across shards (verification /
-    /// debugging; order is shard-major, not insertion order).
-    pub fn scan_all(&self) -> Result<Vec<Record>, RTreeError> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.tree.scan_all()?);
-        }
-        Ok(out)
-    }
-
     /// Per-shard record lists, in shard order — the shape a durable
-    /// snapshot persists ([`gir_serve::RecoverableServer`]). Placement
+    /// snapshot persists ([`gir_serve::Server::consistent_cut`]). Placement
     /// is a pure function of `(id, attrs, num_shards)`, so rebuilding
     /// from the flattened lists reproduces this exact partition.
     pub fn shard_records(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
@@ -215,20 +205,8 @@ impl ShardedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::records;
     use gir_query::naive_topk;
-
-    fn records(n: usize, d: usize, seed: u64) -> Vec<Record> {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..n)
-            .map(|i| Record::new(i as u64, (0..d).map(|_| next()).collect::<Vec<_>>()))
-            .collect()
-    }
 
     #[test]
     fn build_routes_every_record_to_its_owner() {
@@ -237,7 +215,7 @@ mod tests {
             let data = ShardedDataset::build(3, &recs, 4, placement).unwrap();
             assert_eq!(data.len(), 500);
             assert_eq!(data.occupancy().iter().sum::<u64>(), 500);
-            for rec in data.scan_all().unwrap() {
+            for rec in data.shard_records().unwrap().into_iter().flatten() {
                 let owner = data.shard_of(rec.id, &rec.attrs);
                 assert!(data
                     .shard_tree(owner)

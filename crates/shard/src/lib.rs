@@ -18,10 +18,11 @@
 //!   `gir_core::PruneIndex`; queries merge per-shard BRS candidate
 //!   frontiers into the global top-k and intersect per-shard Phase-2
 //!   systems into one `GirRegion`; updates touch the owning shard only.
-//! * [`ShardedGirServer`] — the `gir_serve` executor pattern over a
-//!   sharded dataset: cache-probe first on the scoped worker pool,
-//!   sharded compute-and-admit on miss, and an update pipeline whose
-//!   facet repair stays **shard-local** ([`repair_region_sharded`]) —
+//! * [`ShardedGirServer`] — the `gir_serve::Server` core over a
+//!   sharded dataset ([`ShardedDataset`] is its `ShardBackend`):
+//!   cache-probe first on the scoped worker pool, sharded
+//!   compute-and-admit on miss, and an update pipeline whose facet
+//!   repair stays **shard-local** ([`repair_region_sharded`]) —
 //!   deleting a contributor of shard `s` re-sweeps tree `s` alone.
 //!
 //! Both region semantics are served: the order-sensitive GIR
@@ -42,11 +43,17 @@ pub mod dataset;
 pub mod placement;
 pub mod serve;
 
+/// The serve core's backend-generic checks (shared source, test-only).
+#[cfg(test)]
+#[path = "../../serve/src/testkit.rs"]
+mod testkit;
+
 pub use dataset::ShardedDataset;
 pub use placement::{grid_band, Placement};
 pub use serve::{
-    repair_region_sharded, repair_region_sharded_with, repair_region_star_sharded,
-    repair_region_star_sharded_with, RepairSweeps, ShardedGirServer, ShardedServerConfig,
+    repair_entry_sharded, repair_region_sharded, repair_region_sharded_with,
+    repair_region_star_sharded, repair_region_star_sharded_with, RepairSweeps, ShardedGirServer,
+    ShardedServerConfig,
 };
 
 #[cfg(test)]

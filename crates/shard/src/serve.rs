@@ -1,46 +1,39 @@
-//! Serving over a sharded dataset: the [`gir_serve::GirServer`]
-//! executor pattern with [`ShardedDataset`] underneath.
+//! Serving over a sharded dataset: the [`gir_serve::Server`] core with
+//! [`ShardedDataset`] as its backend.
 //!
-//! * **Queries** fan across the scoped worker pool exactly as in the
-//!   single-tree server (cache-probe first, compute-and-admit on miss),
-//!   with misses served by [`gir_core::gir_sharded`] — per-shard work
-//!   over each shard's prune index, merged and intersected into one
-//!   region.
+//! * **Queries** run the core's loop (cache-probe first,
+//!   compute-and-admit on miss), with misses planned over the per-shard
+//!   views ([`gir_serve::planned_miss`]) and served by
+//!   [`gir_core::gir_sharded`] — per-shard work over each shard's prune
+//!   index, merged and intersected into one region.
 //! * **Updates** route to the owning shard only: the tree mutation, the
 //!   skyline/mirror repair, and the Phase-2 system maintenance all stay
 //!   shard-local (non-owning shards merely purge systems *naming* the
-//!   record). The cached-entry reconciliation then runs the usual
-//!   classify → shrink → repair → evict pass, with the **repair sweep
-//!   confined to the shards that lost a contributor**: a region
+//!   record). The core's cached-entry reconciliation then runs the
+//!   usual classify → shrink → repair → evict pass, with the **repair
+//!   sweep confined to the shards that lost a contributor**: a region
 //!   produced by `gir_sharded` is the intersection of per-shard-exact
 //!   systems, so deleting a contributor of shard `s` only invalidates
 //!   the maximality of shard `s`'s system — the FP repair sweep runs
 //!   over tree `s` alone, every other shard's constraints carry over
 //!   verbatim ([`repair_region_sharded`]).
-//!
-//! The freshness argument is unchanged from `gir_serve`: queries hold
-//! the dataset read lock, updates take the write lock and reconcile
-//! the cache before releasing it.
 
 use crate::dataset::ShardedDataset;
 use crate::placement::Placement;
 use gir_core::fp::fp_repair;
-use gir_core::plan::{MissPath, PlanInputs, Planner, PlannerStats};
+use gir_core::plan::{MissPath, Planner};
 use gir_core::{
-    fp_star_repair, CacheKey, GirEngine, GirError, GirOutput, GirRegion, Method, PruneIndexStats,
-    RegionKind, RepairRequest,
+    fp_star_repair, GirError, GirOutput, GirRegion, Method, PruneIndexStats, RegionKind,
+    RepairRequest,
 };
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, Record, ScoringFunction, TopKResult};
 use gir_rtree::RTreeError;
 use gir_serve::{
-    compute_response, execute_batch, BatchResult, CacheStats, ShardedGirCache, TopKRequest,
-    TopKResponse, Update, UpdateReport,
+    planned_miss, Applied, RemovedOwners, Server, ServerConfig, ShardBackend, TopKRequest, Update,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
+use std::collections::{BTreeSet, HashSet};
 
 /// Sharded-server configuration.
 #[derive(Debug, Clone)]
@@ -60,12 +53,11 @@ pub struct ShardedServerConfig {
     /// Phase-2 method for misses. Non-linear scoring functions fall
     /// back to [`Method::SkylinePruning`] automatically (§7.2).
     pub method: Method,
-    /// Pins every planned miss to one [`MissPath`] (config-level twin
-    /// of `GIR_FORCE_PATH`; this field wins when both are set). With
-    /// more than one data shard only [`MissPath::Sharded`] is feasible
-    /// — there is no single tree to dispatch the others against — so an
-    /// infeasible force falls back to the sharded plan; at
-    /// `data_shards: 1` every path is available.
+    /// Pins every planned miss to one [`MissPath`]. With more than one
+    /// data shard only [`MissPath::Sharded`] is feasible — there is no
+    /// single tree to dispatch the others against — so an infeasible
+    /// force falls back to the sharded plan; at `data_shards: 1` every
+    /// path is available.
     pub force_path: Option<MissPath>,
 }
 
@@ -86,13 +78,27 @@ impl Default for ShardedServerConfig {
     }
 }
 
-/// A concurrent GIR serving engine over a partitioned dataset.
-pub struct ShardedGirServer {
-    data: RwLock<ShardedDataset>,
-    cache: ShardedGirCache,
-    planner: Planner,
-    scoring: ScoringFunction,
-    cfg: ShardedServerConfig,
+/// A concurrent GIR serving engine over a partitioned dataset: the
+/// serve core over a [`ShardedDataset`]. Everything but construction
+/// and the per-shard accessors is the core's (reached through `Deref`).
+pub struct ShardedGirServer(Server<ShardedDataset>);
+
+impl std::ops::Deref for ShardedGirServer {
+    type Target = Server<ShardedDataset>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+/// Lets `gir_serve::DurableServer` wrap this server exactly as it wraps
+/// the single-tree one.
+impl gir_serve::AsServer for ShardedGirServer {
+    type Backend = ShardedDataset;
+
+    fn as_server(&self) -> &Server<ShardedDataset> {
+        &self.0
+    }
 }
 
 impl ShardedGirServer {
@@ -137,18 +143,15 @@ impl ShardedGirServer {
     /// ```
     pub fn new(data: ShardedDataset, scoring: ScoringFunction, cfg: ShardedServerConfig) -> Self {
         assert_eq!(scoring.dim(), data.dim(), "scoring dimensionality mismatch");
-        let cache = ShardedGirCache::new(cfg.cache_shards, cfg.cache_capacity);
-        let planner = match cfg.force_path {
-            Some(p) => Planner::with_forced(Some(p)),
-            None => Planner::new(),
+        let core = ServerConfig {
+            threads: cfg.threads,
+            shards: cfg.cache_shards,
+            shard_capacity: cfg.cache_capacity,
+            method: cfg.method,
+            durability: None,
+            force_path: cfg.force_path,
         };
-        ShardedGirServer {
-            data: RwLock::new(data),
-            cache,
-            planner,
-            scoring,
-            cfg,
-        }
+        ShardedGirServer(Server::with_backend(data, scoring, &core))
     }
 
     /// Partitions `records` per the config and builds the server.
@@ -162,297 +165,94 @@ impl ShardedGirServer {
         Ok(Self::new(data, scoring, cfg))
     }
 
-    /// The scoring function requests are evaluated under.
-    pub fn scoring(&self) -> &ScoringFunction {
-        &self.scoring
-    }
-
-    /// The effective Phase-2 method (configured, or SP when the scoring
-    /// function is non-linear — §7.2).
-    pub fn method(&self) -> Method {
-        if self.cfg.method.supports(&self.scoring) {
-            self.cfg.method
-        } else {
-            Method::SkylinePruning
-        }
-    }
-
-    /// Aggregated GIR-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Per-shard prune-index counters, in shard order.
     pub fn prune_stats(&self) -> Vec<PruneIndexStats> {
-        let data = self.read_data();
+        let data = self.backend();
         data.views().iter().map(|v| v.index.stats()).collect()
     }
 
     /// Live records per data shard.
     pub fn occupancy(&self) -> Vec<u64> {
-        self.read_data().occupancy()
-    }
-
-    /// Total live records.
-    pub fn num_records(&self) -> u64 {
-        self.read_data().len()
-    }
-
-    /// A snapshot of every live record (takes the read lock).
-    pub fn records_snapshot(&self) -> Result<Vec<Record>, RTreeError> {
-        self.read_data().scan_all()
-    }
-
-    /// Consistent cut of the cache's per-shard maintenance counters
-    /// (never observes a cache shard mid-batch; same contract as
-    /// [`gir_serve::GirServer::maintenance_snapshot`]).
-    pub fn maintenance_snapshot(&self) -> gir_obs::ScopesSnapshot {
-        self.cache.maintenance_snapshot()
-    }
-
-    fn read_data(&self) -> std::sync::RwLockReadGuard<'_, ShardedDataset> {
-        self.data.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Executes a batch of requests across the worker pool (the
-    /// executor shared with [`gir_serve::GirServer`]): cache-probe
-    /// first, sharded compute-and-admit on miss. Responses preserve
-    /// request order.
-    pub fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        let method = self.method();
-        // Hold the read lock for the whole batch: updates apply between
-        // batches, never inside one.
-        let data = self.read_data();
-        let data_ref: &ShardedDataset = &data;
-        let work = requests
-            .len()
-            .saturating_mul(data_ref.len().max(1) as usize);
-        let out = execute_batch(requests, work, self.cfg.threads, method.label(), |req| {
-            self.serve_one(data_ref, req, method)
-        });
-        drop(data);
-        out
-    }
-
-    fn serve_one(&self, data: &ShardedDataset, req: &TopKRequest, method: Method) -> TopKResponse {
-        gir_serve::serve_traced(req, || {
-            let t0 = Instant::now();
-            let key = CacheKey::new(&req.weights, req.k, &self.scoring).kind(req.kind);
-            let lookup_span = tracing::span!("cache_lookup");
-            let found = self.cache.get(&key);
-            drop(lookup_span);
-            if let Some(records) = found {
-                return TopKResponse {
-                    ids: records.iter().map(|r| r.id).collect(),
-                    from_cache: true,
-                    latency_us: t0.elapsed().as_micros() as u64,
-                    failed: false,
-                    pages: 0,
-                    error: None,
-                    explain: None,
-                };
-            }
-            let q = QueryVector::new(req.weights.coords().to_vec());
-            let computed = self.serve_miss_planned(data, &q, req, method);
-            compute_response(computed, t0, |out| {
-                let _admit_span = tracing::span!("admit");
-                self.cache.admit(&key, out.region, out.result);
-            })
-        })
-    }
-
-    /// One planned miss over the partitioned dataset. With `S > 1` the
-    /// planner can only pick the sharded fan-out (the decision is still
-    /// recorded — the EXPLAIN phase and `planner.*` counters stay
-    /// uniform across server types); at `S = 1` the single shard is a
-    /// plain tree + index pair, and the full cold / indexed / sharded
-    /// choice opens up exactly as on [`gir_serve::GirServer`].
-    fn serve_miss_planned(
-        &self,
-        data: &ShardedDataset,
-        q: &QueryVector,
-        req: &TopKRequest,
-        method: Method,
-    ) -> Result<GirOutput, GirError> {
-        // Opened before input gathering so planning work lands inside
-        // the `planner` phase (see `GirServer::serve_miss_planned`).
-        let mut planner_span = tracing::span!("planner");
-        let views = data.views();
-        let skyline: usize = views.iter().map(|v| v.index.stats().skyline_size).sum();
-        let built = views.iter().any(|v| v.index.is_built());
-        let inputs = PlanInputs {
-            n: data.len() as usize,
-            d: self.scoring.dim(),
-            method,
-            kind: req.kind,
-            skyline,
-            index_built: built,
-            shards: data.num_shards(),
-        };
-        let decision = self.planner.plan(&inputs);
-        gir_serve::record_planner_phase(&mut planner_span, &decision);
-        drop(planner_span);
-        if decision.forced && decision.path == MissPath::IndexedRecompute {
-            // Forced recompute isolates the cold-Phase-2 cost: drop
-            // every shard's shared systems first (see GirServer).
-            for v in &views {
-                v.index.clear_phase2();
-            }
-        }
-        let watch_reuse = decision.path != MissPath::Cold && method != Method::FullScan;
-        let phase2_hits = |views: &[gir_core::ShardView<'_>]| -> u64 {
-            views.iter().map(|v| v.index.phase2_hits()).sum()
-        };
-        let h0 = watch_reuse.then(|| phase2_hits(&views));
-        let compute_span = tracing::span!(
-            "compute",
-            method = method.label(),
-            path = decision.path.label()
-        );
-        let t0 = Instant::now();
-        let computed = match (decision.path, req.kind) {
-            (MissPath::Sharded, RegionKind::Gir) => data.gir(&self.scoring, q, req.k, method),
-            (MissPath::Sharded, RegionKind::GirStar) => {
-                data.gir_star(&self.scoring, q, req.k, method)
-            }
-            // Single-tree paths: only reachable at S = 1 (the planner
-            // marks them infeasible otherwise), where shard 0 holds the
-            // whole dataset.
-            (path, kind) => {
-                let engine = GirEngine::with_scoring(data.shard_tree(0), self.scoring.clone());
-                match (path, kind) {
-                    (MissPath::Cold, RegionKind::Gir) => engine.gir(q, req.k, method),
-                    (MissPath::Cold, RegionKind::GirStar) => engine.gir_star(q, req.k, method),
-                    (_, RegionKind::Gir) => engine.gir_indexed(q, req.k, method, views[0].index),
-                    (_, RegionKind::GirStar) => {
-                        engine.gir_star_indexed(q, req.k, method, views[0].index)
-                    }
-                }
-            }
-        };
-        let actual_ns = t0.elapsed().as_nanos() as u64;
-        drop(compute_span);
-        let calibrate_span = tracing::span!("calibrate", actual_us = actual_ns as f64 / 1e3);
-        let reused = h0.map(|h| phase2_hits(&views) > h);
-        let outcome = self.planner.observe(&decision, actual_ns, reused);
-        if tracing::enabled() {
-            gir_serve::publish_planner_decision(&decision, actual_ns, outcome);
-        }
-        drop(calibrate_span);
-        computed
-    }
-
-    /// Planner decision counters (per-path tallies, probes, forced
-    /// dispatches, calibrator drift/refit activity).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.stats()
-    }
-
-    /// The planner's forced-path override, if any (config field or
-    /// `GIR_FORCE_PATH`).
-    pub fn forced_path(&self) -> Option<MissPath> {
-        self.planner.forced()
-    }
-
-    /// Applies a batch of updates under the dataset write lock and
-    /// reconciles the cache before releasing it. Every delta goes to
-    /// the owning shard only; cached entries are classified once per
-    /// batch and repaired shard-locally ([`repair_region_sharded`]).
-    pub fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
-        let mut report = UpdateReport::default();
-        let mut batch = gir_core::DeltaBatch::new();
-        // Owner shards of every applied delete (by the delete's
-        // recorded location) — the repair closure needs them to scope
-        // its sweeps. A set per id: duplicate ids may be deleted at
-        // locations owned by different shards within one batch.
-        let mut removed_owner: HashMap<u64, BTreeSet<usize>> = HashMap::new();
-        let mut failure: Option<RTreeError> = None;
-        for u in updates {
-            match u {
-                Update::Insert(rec) => match data.insert(rec.clone()) {
-                    Ok(()) => {
-                        report.inserted += 1;
-                        batch.record_insert(rec);
-                    }
-                    Err(e) => failure = Some(e),
-                },
-                Update::Delete { id, attrs } => match data.delete(*id, attrs) {
-                    Ok(true) => {
-                        report.deleted += 1;
-                        removed_owner
-                            .entry(*id)
-                            .or_default()
-                            .insert(data.shard_of(*id, attrs));
-                        batch.record_delete_at(*id, attrs);
-                    }
-                    Ok(false) => report.missed_deletes += 1,
-                    Err(e) => {
-                        // The owning shard may have mutated its tree
-                        // before the index error: record the delete so
-                        // the cache still reconciles with it.
-                        report.deleted += 1;
-                        removed_owner
-                            .entry(*id)
-                            .or_default()
-                            .insert(data.shard_of(*id, attrs));
-                        batch.record_delete_at(*id, attrs);
-                        failure = Some(e);
-                    }
-                },
-            }
-            if failure.is_some() {
-                break;
-            }
-        }
-        let data_ref: &ShardedDataset = &data;
-        let outcome = self.cache.apply_batch(&batch, |req| {
-            // FP repair needs linear scoring (§7.2); declining keeps
-            // the entry sound but non-maximal.
-            if !req.scoring.is_linear() {
-                return None;
-            }
-            match req.kind {
-                RegionKind::Gir => repair_region_sharded(data_ref, req, &removed_owner),
-                RegionKind::GirStar => repair_region_star_sharded(data_ref, req, &removed_owner),
-            }
-        });
-        report.evicted = outcome.evicted;
-        report.repaired = outcome.repaired;
-        report.shrunk = outcome.shrunk;
-        report.untouched = outcome.untouched;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        self.backend().occupancy()
     }
 }
 
-/// The durability hooks (`gir_serve::DurableServer` wraps this server
-/// exactly as it wraps the single-tree one): the consistent cut takes
-/// the dataset read lock — updates hold the write lock for apply +
-/// cache sweep, so the cut always lands on a batch boundary — and
-/// returns the records per shard.
-impl gir_serve::RecoverableServer for ShardedGirServer {
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, RTreeError> {
-        ShardedGirServer::apply_updates(self, updates)
+/// The in-process sharded backend: misses plan over the per-shard views
+/// (at `S = 1` the single view opens the full cold / indexed / sharded
+/// choice, exactly as on the single-tree server), updates go to the
+/// owning shard only, and repair sweeps stay shard-local.
+impl ShardBackend for ShardedDataset {
+    fn num_records(&self) -> u64 {
+        self.len()
     }
 
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        ShardedGirServer::run_batch(self, requests)
+    fn shard_records(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
+        ShardedDataset::shard_records(self)
     }
 
-    fn consistent_cut(&self) -> Result<Vec<Vec<Record>>, RTreeError> {
-        let data = self.read_data();
-        debug_assert!(
-            self.cache
-                .maintenance_snapshot()
-                .shards
-                .iter()
-                .all(|s| s.epoch % 2 == 0),
-            "consistent cut observed a cache shard mid-batch"
-        );
-        data.shard_records()
+    fn miss(
+        &self,
+        planner: &Planner,
+        scoring: &ScoringFunction,
+        method: Method,
+        q: &QueryVector,
+        req: &TopKRequest,
+    ) -> Result<GirOutput, GirError> {
+        planned_miss(&self.views(), planner, scoring, method, q, req)
+    }
+
+    fn apply(&mut self, updates: &[Update]) -> Applied {
+        let mut out = Applied::default();
+        for u in updates {
+            match u {
+                Update::Insert(rec) => match self.insert(rec.clone()) {
+                    Ok(()) => {
+                        out.report.inserted += 1;
+                        out.batch.record_insert(rec);
+                    }
+                    Err(e) => out.failure = Some(e),
+                },
+                Update::Delete { id, attrs } => {
+                    let outcome = self.delete(*id, attrs);
+                    if matches!(outcome, Ok(false)) {
+                        out.report.missed_deletes += 1;
+                        continue;
+                    }
+                    // On `Err` the owning shard may have mutated its
+                    // tree before the index error: record the delete
+                    // either way so the cache still reconciles with it.
+                    out.report.deleted += 1;
+                    out.removed_owner
+                        .entry(*id)
+                        .or_default()
+                        .insert(self.shard_of(*id, attrs));
+                    out.batch.record_delete_at(*id, attrs);
+                    out.failure = outcome.err();
+                }
+            }
+            if out.failure.is_some() {
+                break;
+            }
+        }
+        out
+    }
+
+    fn repair(&self, req: &RepairRequest<'_>, removed_owner: &RemovedOwners) -> Option<GirRegion> {
+        repair_entry_sharded(self, req, removed_owner)
+    }
+}
+
+/// Shard-local repair of one cached entry of either kind over any
+/// [`RepairSweeps`] surface — what a sharded [`ShardBackend::repair`]
+/// is, in-process or remote.
+pub fn repair_entry_sharded<S: RepairSweeps + ?Sized>(
+    data: &S,
+    req: &RepairRequest<'_>,
+    removed_owner: &RemovedOwners,
+) -> Option<GirRegion> {
+    match req.kind {
+        RegionKind::Gir => repair_region_sharded_with(data, req, removed_owner),
+        RegionKind::GirStar => repair_region_star_sharded_with(data, req, removed_owner),
     }
 }
 
@@ -558,7 +358,7 @@ impl RepairSweeps for ShardedDataset {
 pub fn repair_region_sharded(
     data: &ShardedDataset,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     repair_region_sharded_with(data, req, removed_owner)
 }
@@ -568,7 +368,7 @@ pub fn repair_region_sharded(
 pub fn repair_region_sharded_with<S: RepairSweeps + ?Sized>(
     data: &S,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     let scoring = req.scoring;
     debug_assert!(scoring.is_linear());
@@ -660,7 +460,7 @@ pub fn repair_region_sharded_with<S: RepairSweeps + ?Sized>(
 pub fn repair_region_star_sharded(
     data: &ShardedDataset,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     repair_region_star_sharded_with(data, req, removed_owner)
 }
@@ -670,7 +470,7 @@ pub fn repair_region_star_sharded(
 pub fn repair_region_star_sharded_with<S: RepairSweeps + ?Sized>(
     data: &S,
     req: &RepairRequest<'_>,
-    removed_owner: &HashMap<u64, BTreeSet<usize>>,
+    removed_owner: &RemovedOwners,
 ) -> Option<GirRegion> {
     let scoring = req.scoring;
     debug_assert!(scoring.is_linear());
@@ -734,29 +534,11 @@ pub fn repair_region_star_sharded_with<S: RepairSweeps + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{
+        check_batch_matches_naive_and_hits_cache, check_nonlinear_scoring_falls_back_to_sp,
+        check_updates_stay_fresh, jittered_requests as jittered, records,
+    };
     use gir_query::naive_topk;
-
-    fn records(n: usize, d: usize, seed: u64) -> Vec<Record> {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..n)
-            .map(|i| Record::new(i as u64, (0..d).map(|_| next()).collect::<Vec<_>>()))
-            .collect()
-    }
-
-    fn jittered(count: usize, k: usize) -> Vec<TopKRequest> {
-        (0..count)
-            .map(|i| {
-                let j = 0.0005 * (i % 11) as f64;
-                TopKRequest::new(vec![0.55 + j, 0.6 - j, 0.45 + j / 2.0], k)
-            })
-            .collect()
-    }
 
     #[test]
     fn sharded_batches_match_naive_and_hit_cache() {
@@ -774,20 +556,13 @@ mod tests {
                 },
             )
             .unwrap();
-            let reqs = jittered(100, 8);
-            let batch = server.run_batch(&reqs);
-            assert!(batch.stats.hits > 0, "jittered repeats should hit");
-            for (req, resp) in reqs.iter().zip(&batch.responses) {
-                assert!(!resp.failed);
-                let truth = naive_topk(&data, server.scoring(), &req.weights, req.k);
-                assert_eq!(resp.ids, truth.ids(), "{placement:?} at {:?}", req.weights);
-            }
+            check_batch_matches_naive_and_hits_cache(&server, &data);
         }
     }
 
     #[test]
     fn updates_route_to_owning_shard_and_stay_fresh() {
-        let mut mirror = records(1200, 3, 0x82);
+        let mirror = records(1200, 3, 0x82);
         let server = ShardedGirServer::build(
             3,
             &mirror,
@@ -799,57 +574,33 @@ mod tests {
             },
         )
         .unwrap();
-        let reqs = jittered(40, 6);
-        let _ = server.run_batch(&reqs);
-        assert!(server.cache_stats().entries > 0);
         let occupancy_before = server.occupancy();
-
-        // A dominating insert must enter every subsequent top-k...
-        let champ = Record::new(9_999_999, vec![0.99, 0.99, 0.99]);
-        mirror.push(champ.clone());
-        let report = server
-            .apply_updates(&[Update::Insert(champ.clone())])
-            .unwrap();
-        assert_eq!(report.inserted, 1);
-        // ... and only one shard's occupancy moved.
-        let occupancy_after = server.occupancy();
-        let moved = occupancy_before
-            .iter()
-            .zip(&occupancy_after)
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(moved, 1, "insert touched more than the owning shard");
-
-        let batch = server.run_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&batch.responses) {
-            let truth = naive_topk(&mirror, server.scoring(), &req.weights, req.k);
-            assert_eq!(resp.ids, truth.ids(), "stale after insert");
-            assert_eq!(resp.ids[0], champ.id);
-        }
-
-        // Delete it again; containing entries must drop.
-        let report = server
-            .apply_updates(&[Update::Delete {
-                id: champ.id,
-                attrs: champ.attrs.clone(),
-            }])
-            .unwrap();
-        mirror.pop();
-        assert_eq!(report.deleted, 1);
-        assert!(report.evicted > 0);
-        let batch = server.run_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&batch.responses) {
-            let truth = naive_topk(&mirror, server.scoring(), &req.weights, req.k);
-            assert_eq!(resp.ids, truth.ids(), "stale after delete");
-        }
+        check_updates_stay_fresh(&server, mirror, || {
+            // Only the owning shard's occupancy moved.
+            let moved = occupancy_before
+                .iter()
+                .zip(&server.occupancy())
+                .filter(|(a, b)| a != b)
+                .count();
+            assert_eq!(moved, 1, "insert touched more than the owning shard");
+        });
     }
 
-    #[test]
-    fn contributor_delete_repairs_shard_locally_with_fresh_hits() {
-        // Delete facet contributors under churn and verify repaired
-        // entries keep serving *fresh* hits (the shard-local repair is
-        // exercised through the report's `repaired` counter).
-        let mut mirror = records(900, 3, 0x83);
+    /// Deletes a facet contributor of the anchor query per round of
+    /// churn (NeedsRepair on the cached entry, not an eviction) and
+    /// verifies repaired entries keep serving *fresh* hits — exact
+    /// rankings for GIR requests, compositions for GIR\* ones. The
+    /// shard-local repair is exercised through the report's `repaired`
+    /// counter.
+    fn churn_repairs_shard_locally(kind: RegionKind, seed: u64, rounds: u64) {
+        let key = |ids: &[u64]| {
+            let mut v = ids.to_vec();
+            if kind == RegionKind::GirStar {
+                v.sort_unstable();
+            }
+            v
+        };
+        let mut mirror = records(900, 3, seed);
         let server = ShardedGirServer::build(
             3,
             &mirror,
@@ -861,41 +612,41 @@ mod tests {
             },
         )
         .unwrap();
-        let reqs = jittered(30, 5);
-        let _ = server.run_batch(&reqs);
+        let reqs: Vec<TopKRequest> = jittered(30, 5).into_iter().map(|r| r.kind(kind)).collect();
+        let batch = server.run_batch(&reqs);
+        assert!(batch.stats.hits > 0, "jittered repeats should hit");
 
-        // The GIR of the anchor query names its facet contributors
-        // (non-result records by provenance): deleting one triggers the
-        // NeedsRepair path instead of an eviction. Recompute per round
-        // on an equivalent dataset built from the server's snapshot.
+        // The region of the anchor query names its facet contributors
+        // (non-result records by provenance). Recompute per round on an
+        // equivalent shadow dataset.
         let contributor_of = |mirror: &[Record]| -> Record {
             let data =
                 ShardedDataset::build(3, mirror, 4, Placement::Hash).expect("shadow dataset");
             let q = QueryVector::new(reqs[0].weights.coords().to_vec());
-            let out = data
-                .gir(&ScoringFunction::linear(3), &q, 5, Method::FacetPruning)
-                .expect("shadow gir");
+            let f = ScoringFunction::linear(3);
+            let out = match kind {
+                RegionKind::Gir => data.gir(&f, &q, 5, Method::FacetPruning),
+                RegionKind::GirStar => data.gir_star(&f, &q, 5, Method::FacetPruning),
+            }
+            .expect("shadow region");
             let result_ids = out.result.ids();
             let id = out
                 .region
                 .contributor_ids()
                 .find(|id| !result_ids.contains(id))
-                .expect("non-trivial GIR has non-result contributors");
+                .expect("non-trivial region has non-result contributors");
             mirror.iter().find(|r| r.id == id).unwrap().clone()
         };
 
         let mut repaired_total = 0usize;
         let mut checked_hits = 0usize;
-        for round in 0..10usize {
+        for round in 0..rounds {
             // Churn: one competitive insert + delete a facet
             // contributor. Distinct insert attrs per round: BRS and the
             // naive oracle break exact score ties differently (id desc
             // vs id asc).
             let jitter = round as f64 * 3e-4;
-            let hot = Record::new(
-                10_000_000 + round as u64,
-                vec![0.66 + jitter, 0.64 - jitter, 0.68],
-            );
+            let hot = Record::new(10_000_000 + round, vec![0.66 + jitter, 0.64 - jitter, 0.68]);
             let victim = contributor_of(&mirror);
             mirror.retain(|r| r.id != victim.id);
             mirror.push(hot.clone());
@@ -914,9 +665,9 @@ mod tests {
             for (req, resp) in reqs.iter().zip(&batch.responses) {
                 let truth = naive_topk(&mirror, server.scoring(), &req.weights, req.k);
                 assert_eq!(
-                    resp.ids,
-                    truth.ids(),
-                    "round {round}: stale response (from_cache={}, w={:?})",
+                    key(&resp.ids),
+                    key(&truth.ids()),
+                    "round {round}: stale {kind:?} response (from_cache={}, w={:?})",
                     resp.from_cache,
                     req.weights
                 );
@@ -933,94 +684,13 @@ mod tests {
     }
 
     #[test]
+    fn contributor_delete_repairs_shard_locally_with_fresh_hits() {
+        churn_repairs_shard_locally(RegionKind::Gir, 0x83, 10);
+    }
+
+    #[test]
     fn star_requests_serve_fresh_compositions_and_repair_shard_locally() {
-        let sorted = |ids: &[u64]| {
-            let mut v = ids.to_vec();
-            v.sort_unstable();
-            v
-        };
-        let mut mirror = records(900, 3, 0x85);
-        let server = ShardedGirServer::build(
-            3,
-            &mirror,
-            ScoringFunction::linear(3),
-            ShardedServerConfig {
-                threads: 1,
-                data_shards: 4,
-                ..ShardedServerConfig::default()
-            },
-        )
-        .unwrap();
-        let reqs: Vec<TopKRequest> = (0..30)
-            .map(|i| {
-                let j = 0.0005 * (i % 11) as f64;
-                TopKRequest::new(vec![0.55 + j, 0.6 - j, 0.45 + j / 2.0], 5)
-                    .kind(RegionKind::GirStar)
-            })
-            .collect();
-        let batch = server.run_batch(&reqs);
-        assert!(batch.stats.hits > 0, "jittered star repeats should hit");
-
-        // Find a GIR* facet contributor of the anchor query via a
-        // shadow dataset, delete it (NeedsRepair on the star entry),
-        // and keep verifying set-freshness across rounds of churn.
-        let star_contributor_of = |mirror: &[Record]| -> Record {
-            let data =
-                ShardedDataset::build(3, mirror, 4, Placement::Hash).expect("shadow dataset");
-            let q = QueryVector::new(reqs[0].weights.coords().to_vec());
-            let out = data
-                .gir_star(&ScoringFunction::linear(3), &q, 5, Method::FacetPruning)
-                .expect("shadow gir*");
-            let result_ids = out.result.ids();
-            let id = out
-                .region
-                .contributor_ids()
-                .find(|id| !result_ids.contains(id))
-                .expect("non-trivial GIR* has non-result contributors");
-            mirror.iter().find(|r| r.id == id).unwrap().clone()
-        };
-
-        let mut repaired_total = 0usize;
-        let mut star_hits = 0usize;
-        for round in 0..8usize {
-            let jitter = round as f64 * 3e-4;
-            let hot = Record::new(
-                11_000_000 + round as u64,
-                vec![0.66 + jitter, 0.64 - jitter, 0.68],
-            );
-            let victim = star_contributor_of(&mirror);
-            mirror.retain(|r| r.id != victim.id);
-            mirror.push(hot.clone());
-            let report = server
-                .apply_updates(&[
-                    Update::Insert(hot),
-                    Update::Delete {
-                        id: victim.id,
-                        attrs: victim.attrs.clone(),
-                    },
-                ])
-                .unwrap();
-            repaired_total += report.repaired;
-
-            let batch = server.run_batch(&reqs);
-            for (req, resp) in reqs.iter().zip(&batch.responses) {
-                let truth = naive_topk(&mirror, server.scoring(), &req.weights, req.k);
-                assert_eq!(
-                    sorted(&resp.ids),
-                    sorted(&truth.ids()),
-                    "round {round}: stale star composition (from_cache={})",
-                    resp.from_cache
-                );
-                if resp.from_cache {
-                    star_hits += 1;
-                }
-            }
-        }
-        assert!(
-            repaired_total > 0,
-            "churn never exercised the shard-local star repair"
-        );
-        assert!(star_hits > 0, "no star cache hits survived the churn");
+        churn_repairs_shard_locally(RegionKind::GirStar, 0x85, 8);
     }
 
     #[test]
@@ -1038,11 +708,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(server.method(), Method::SkylinePruning);
-        let reqs = vec![TopKRequest::new(vec![0.5, 0.5, 0.5, 0.5], 5)];
-        let batch = server.run_batch(&reqs);
-        let truth = naive_topk(&data, server.scoring(), &reqs[0].weights, 5);
-        assert_eq!(batch.responses[0].ids, truth.ids());
-        assert_eq!(batch.stats.method, "SP");
+        check_nonlinear_scoring_falls_back_to_sp(&server, &data);
     }
 }

@@ -27,7 +27,7 @@
 use gir::prelude::*;
 use gir::query::naive_topk;
 use gir::rpc::{DistributedGirServer, DistributedServerConfig, ThreadEndpoint};
-use gir::serve::{mixed_workload, BatchResult, ServeStats, UpdateReport, WorkloadConfig};
+use gir::serve::{mixed_workload, ServeStats, Server, ShardBackend, TrafficBatch, WorkloadConfig};
 use std::sync::Arc;
 
 const HELP: &str = "\
@@ -78,45 +78,6 @@ WORKLOAD (fixed in this driver, knobs of gir_serve::WorkloadConfig):
     k_choices=5,10
 ";
 
-/// The serving engine under test: the in-process `GirServer` (default)
-/// or the RPC-sharded `DistributedGirServer` (`--distributed`). Both
-/// expose the same batch surface, so the replay loop and the freshness
-/// oracle are engine-agnostic.
-enum Engine {
-    Local(GirServer),
-    Distributed(DistributedGirServer),
-}
-
-impl Engine {
-    fn run_batch(&self, requests: &[TopKRequest]) -> BatchResult {
-        match self {
-            Engine::Local(s) => s.run_batch(requests),
-            Engine::Distributed(s) => s.run_batch(requests),
-        }
-    }
-
-    fn apply_updates(&self, updates: &[Update]) -> Result<UpdateReport, gir::rtree::RTreeError> {
-        match self {
-            Engine::Local(s) => s.apply_updates(updates),
-            Engine::Distributed(s) => s.apply_updates(updates),
-        }
-    }
-
-    fn scoring(&self) -> &ScoringFunction {
-        match self {
-            Engine::Local(s) => s.scoring(),
-            Engine::Distributed(s) => s.scoring(),
-        }
-    }
-
-    fn cache_stats(&self) -> gir::serve::CacheStats {
-        match self {
-            Engine::Local(s) => s.cache_stats(),
-            Engine::Distributed(s) => s.cache_stats(),
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -161,43 +122,7 @@ fn main() {
         None => (7, 42),
     };
 
-    let mut mirror = gir::datagen::synthetic(Distribution::Independent, n, d, data_seed);
-    let server = if distributed {
-        // Four shard workers on the framed loopback transport — the
-        // same cache geometry as the local engine, so hit rates are
-        // comparable across the two modes.
-        Engine::Distributed(
-            DistributedGirServer::launch(
-                &mirror,
-                ScoringFunction::linear(d),
-                DistributedServerConfig {
-                    threads,
-                    data_shards: 4,
-                    cache_shards: 16,
-                    cache_capacity: 32,
-                    method: Method::FacetPruning,
-                    ..DistributedServerConfig::default()
-                },
-                Box::new(|_| Box::new(ThreadEndpoint::spawn())),
-            )
-            .expect("launch distributed server"),
-        )
-    } else {
-        let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
-        let tree = RTree::bulk_load(store, &mirror).expect("bulk load");
-        Engine::Local(GirServer::new(
-            tree,
-            ScoringFunction::linear(d),
-            ServerConfig {
-                threads,
-                shards: 16,
-                shard_capacity: 32,
-                method: Method::FacetPruning,
-                ..ServerConfig::default()
-            },
-        ))
-    };
-
+    let mirror = gir::datagen::synthetic(Distribution::Independent, n, d, data_seed);
     let wl = WorkloadConfig {
         dim: d,
         anchors: 10,
@@ -221,20 +146,84 @@ fn main() {
             }
         }
     }
+    let run = Run {
+        star,
+        threads,
+        metrics_path,
+        engine: if distributed {
+            "distributed S=4 loopback"
+        } else {
+            "in-process"
+        },
+    };
+    if distributed {
+        // Four shard workers on the framed loopback transport — the
+        // same cache geometry as the local engine, so hit rates are
+        // comparable across the two modes.
+        let server = DistributedGirServer::launch(
+            &mirror,
+            ScoringFunction::linear(d),
+            DistributedServerConfig {
+                threads,
+                data_shards: 4,
+                cache_shards: 16,
+                cache_capacity: 32,
+                method: Method::FacetPruning,
+                ..DistributedServerConfig::default()
+            },
+            Box::new(|_| Box::new(ThreadEndpoint::spawn())),
+        )
+        .expect("launch distributed server");
+        replay(&server, mirror, &traffic, &run);
+        server.shutdown();
+    } else {
+        let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
+        let tree = RTree::bulk_load(store, &mirror).expect("bulk load");
+        let server = GirServer::new(
+            tree,
+            ScoringFunction::linear(d),
+            ServerConfig {
+                threads,
+                shards: 16,
+                shard_capacity: 32,
+                method: Method::FacetPruning,
+                ..ServerConfig::default()
+            },
+        );
+        replay(&server, mirror, &traffic, &run);
+    }
+}
+
+/// What the replay needs besides the server and its traffic.
+struct Run {
+    star: bool,
+    threads: usize,
+    metrics_path: Option<String>,
+    engine: &'static str,
+}
+
+/// Replays `traffic` against the serve core — whichever backend is
+/// behind it — mirroring every update into `mirror` and checking every
+/// cache hit against a linear scan of it.
+fn replay<B: ShardBackend>(
+    server: &Server<B>,
+    mut mirror: Vec<Record>,
+    traffic: &[TrafficBatch],
+    run: &Run,
+) {
+    let star = run.star;
     let total_queries: usize = traffic.iter().map(|b| b.queries.len()).sum();
     let total_updates: usize = traffic.iter().map(|b| b.updates.len()).sum();
     let mode = if star { "GIR* (set)" } else { "GIR (ranked)" };
-    let engine = if distributed {
-        "distributed S=4 loopback"
-    } else {
-        "in-process"
-    };
     println!(
         "replaying {total_queries} queries + {total_updates} updates in {} batches \
-         on {threads} threads (n={n}, d={d}, FP, {mode}, {engine})\n",
-        traffic.len()
+         on {} threads (n={}, d={}, FP, {mode}, {})\n",
+        traffic.len(),
+        run.threads,
+        mirror.len(),
+        server.scoring().dim(),
+        run.engine
     );
-
     let sorted = |ids: &[u64]| {
         let mut v = ids.to_vec();
         v.sort_unstable();
@@ -313,11 +302,11 @@ fn main() {
         total_queries + total_updates >= 10_000,
         "driver must replay ≥ 10k events"
     );
-    assert!(threads >= 4, "driver must use ≥ 4 threads");
+    assert!(run.threads >= 4, "driver must use ≥ 4 threads");
     assert!(cache.hits > 0, "workload must produce cache hits");
     assert!(verified_hits > 0);
 
-    if let Some(path) = metrics_path {
+    if let Some(path) = &run.metrics_path {
         // One explained request: the per-query span tree distilled into
         // the planner's feature vector. Replaying the last batch's
         // first query typically lands a cache hit; a fresh jittered
@@ -332,11 +321,7 @@ fn main() {
 
         let snap = gir::obs::Registry::global().snapshot();
         println!("{}", snap.to_text());
-        std::fs::write(&path, snap.to_json()).expect("write metrics snapshot");
+        std::fs::write(path, snap.to_json()).expect("write metrics snapshot");
         println!("wrote metrics snapshot to {path}");
-    }
-
-    if let Engine::Distributed(s) = &server {
-        s.shutdown();
     }
 }

@@ -47,22 +47,24 @@ pub fn one_shot_faulty_factory(plan: Arc<FaultPlan>) -> EndpointFactory {
     })
 }
 
-/// Kills the worker the moment an `Apply` arrives, while `kills` holds
-/// charges — the coordinator sees `Closed` mid-broadcast with the
-/// shard's apply state unknown. `FaultyEndpoint` deliberately exempts
-/// `Apply` traffic (rejoin replays must stay reliable under the query
-/// fault plans), so the apply-path contract needs its own injector.
-struct ApplyKillEndpoint {
+/// Kills the worker the moment a request matching `when` arrives,
+/// while `kills` holds charges — the coordinator sees `Closed` with the
+/// shard's state for that request unknown. `FaultyEndpoint` deliberately
+/// exempts `Apply` and `Cut` traffic (rejoin replays and snapshot rolls
+/// must stay reliable under the query fault plans), so the update-path
+/// contracts need this injector.
+struct KillOnEndpoint {
     inner: Option<Box<dyn ShardEndpoint>>,
+    when: fn(&ShardRequest) -> bool,
     kills: Arc<AtomicU32>,
 }
 
-impl ShardEndpoint for ApplyKillEndpoint {
+impl ShardEndpoint for KillOnEndpoint {
     fn call(&mut self, req: &ShardRequest, timeout: Duration) -> Result<ShardResponse, RpcError> {
         let Some(inner) = self.inner.as_mut() else {
             return Err(RpcError::Closed);
         };
-        if matches!(req, ShardRequest::Apply { .. })
+        if (self.when)(req)
             && self
                 .kills
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -82,24 +84,38 @@ impl ShardEndpoint for ApplyKillEndpoint {
     }
 }
 
-/// Thread workers where shard `target`'s endpoints die on `Apply`
-/// while `kills` holds charges. The charge pool is shared across
-/// endpoint instances of the shard, so a replacement spawned by the
-/// rejoin protocol can be made to fail too (one charge per kill);
-/// start at zero and `store` charges right before the broadcast under
-/// test.
-pub fn apply_kill_factory(target: usize, kills: Arc<AtomicU32>) -> EndpointFactory {
+/// Thread workers where shard `target`'s endpoints die on a request
+/// matching `when` while `kills` holds charges. The charge pool is
+/// shared across endpoint instances of the shard, so a replacement
+/// spawned by the rejoin protocol can be made to fail too (one charge
+/// per kill); start at zero and `store` charges right before the call
+/// under test.
+pub fn kill_on_factory(
+    target: usize,
+    when: fn(&ShardRequest) -> bool,
+    kills: Arc<AtomicU32>,
+) -> EndpointFactory {
     Box::new(move |shard| {
         let ep: Box<dyn ShardEndpoint> = Box::new(ThreadEndpoint::spawn());
         if shard == target {
-            Box::new(ApplyKillEndpoint {
+            Box::new(KillOnEndpoint {
                 inner: Some(ep),
+                when,
                 kills: kills.clone(),
             })
         } else {
             ep
         }
     })
+}
+
+/// [`kill_on_factory`] for `Apply`: the worker is lost mid-broadcast.
+pub fn apply_kill_factory(target: usize, kills: Arc<AtomicU32>) -> EndpointFactory {
+    kill_on_factory(
+        target,
+        |req| matches!(req, ShardRequest::Apply { .. }),
+        kills,
+    )
 }
 
 /// Tight backoff so injected timeouts resolve fast; snapshots every

@@ -1,5 +1,5 @@
 //! End-to-end EXPLAIN coverage (`TopKRequest::explain`): for every
-//! miss path — **cold** (no prune index), **indexed-recompute** (shared
+//! miss path — **cold** (forced), **indexed-recompute** (shared
 //! Phase-2 system empty), **indexed-reuse** (entry evicted from the
 //! cache but its Phase-2 system still warm), and **sharded** — and both
 //! region kinds (GIR / GIR\*), the captured span tree must break the
@@ -9,7 +9,7 @@
 
 use gir::obs::ExplainReport;
 use gir::prelude::*;
-use gir::serve::{RegionKind, TopKResponse};
+use gir::serve::{MissPath, RegionKind, TopKResponse};
 use std::sync::Arc;
 
 const D: usize = 3;
@@ -19,7 +19,7 @@ fn dataset(n: usize) -> Vec<Record> {
     gir::datagen::synthetic(Distribution::Independent, n, D, 0x5EED)
 }
 
-fn server(data: &[Record], use_prune_index: bool, shard_capacity: usize) -> GirServer {
+fn server(data: &[Record], force_path: Option<MissPath>, shard_capacity: usize) -> GirServer {
     let store: Arc<dyn PageStore> = Arc::new(MemPageStore::new(PAGE_SIZE));
     let tree = RTree::bulk_load(store, data).expect("bulk load");
     GirServer::new(
@@ -29,7 +29,7 @@ fn server(data: &[Record], use_prune_index: bool, shard_capacity: usize) -> GirS
             threads: 1,
             shards: 1,
             shard_capacity,
-            use_prune_index,
+            force_path,
             ..ServerConfig::default()
         },
     )
@@ -76,7 +76,7 @@ fn assert_phases_cover_latency(resp: &TopKResponse, path: &str) -> ExplainReport
 fn explain_covers_cold_miss_path() {
     let data = dataset(6_000);
     for kind in KINDS {
-        let server = server(&data, false, 32);
+        let server = server(&data, Some(MissPath::Cold), 32);
         let out = server.run_batch(&[request(kind, &[0.55, 0.62, 0.48])]);
         let report = assert_phases_cover_latency(&out.responses[0], kind.label());
         // The cold path sweeps the real R*-tree twice (BRS top-k +
@@ -98,7 +98,7 @@ fn explain_covers_indexed_recompute_and_reuse_paths() {
         // shard_capacity 1: the decoy below evicts the first entry, so
         // re-asking the same weights is a genuine cache miss that finds
         // the shared Phase-2 system warm (same result set ⇒ reuse).
-        let server = server(&data, true, 1);
+        let server = server(&data, None, 1);
 
         let out = server.run_batch(&[request(kind, &w)]);
         let recompute =
@@ -154,7 +154,7 @@ fn explain_covers_sharded_miss_path() {
 #[test]
 fn hits_and_unrequested_responses_carry_no_report() {
     let data = dataset(2_000);
-    let server = server(&data, true, 32);
+    let server = server(&data, None, 32);
     let plain = TopKRequest::new(vec![0.5, 0.5, 0.5], K);
     let out = server.run_batch(std::slice::from_ref(&plain));
     assert!(out.responses[0].explain.is_none(), "explain not requested");

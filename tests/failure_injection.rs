@@ -147,7 +147,6 @@ fn serve_setup(n: usize) -> (Arc<FailingStore>, Vec<Record>, GirServer) {
         ScoringFunction::linear(3),
         ServerConfig {
             threads: 1,
-            use_prune_index: true,
             ..ServerConfig::default()
         },
     );

@@ -31,7 +31,7 @@
 use gir::core::{GirEngine, GirOutput, Method, PruneIndex, RegionKind, ShardView};
 use gir::datagen::planner_stress::{high_d_mix, skyline_churn, zipfian_queries, ChurnOp};
 use gir::prelude::*;
-use gir::serve::{MaintenanceMode, MissPath};
+use gir::serve::MissPath;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -311,8 +311,6 @@ fn check_single_tree_servers_agree(seed: u64, method: Method, kind: RegionKind) 
         shards: 4,
         shard_capacity: 32,
         method,
-        maintenance: MaintenanceMode::DeltaRepair,
-        use_prune_index: true,
         force_path: force,
         ..ServerConfig::default()
     };

@@ -30,7 +30,6 @@ use common::oracle::{assert_bit_identical, records};
 use gir::core::{Method, RegionKind};
 use gir::prelude::*;
 use gir::query::naive_topk;
-use gir::serve::MaintenanceMode;
 use gir::shard::{ShardedDataset, ShardedServerConfig};
 use std::sync::{Arc, Mutex};
 
@@ -144,7 +143,6 @@ fn build_server(data: &[Record], d: usize) -> GirServer {
             threads: 1,
             shards: 8,
             shard_capacity: 16,
-            maintenance: MaintenanceMode::DeltaRepair,
             ..ServerConfig::default()
         },
     )

@@ -15,7 +15,7 @@
 //! (`PROPTEST_CASES` scales the number of traffic seeds).
 
 use gir::prelude::*;
-use gir::serve::{mixed_workload, MaintenanceMode, UpdateReport, WorkloadConfig, APPLY_SLOTS};
+use gir::serve::{mixed_workload, UpdateReport, WorkloadConfig, APPLY_SLOTS};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,7 +39,6 @@ fn build_server(data: &[Record], shards: usize) -> GirServer {
             threads: 2,
             shards,
             shard_capacity: 8,
-            maintenance: MaintenanceMode::DeltaRepair,
             ..ServerConfig::default()
         },
     )

@@ -13,6 +13,9 @@
 //!   must not manufacture request traffic);
 //! * rejoin is one `Load` RPC (+ WAL suffix) and one `rpc.rejoins`
 //!   tick, after which the same query succeeds;
+//! * a worker lost on the snapshot `Cut` that follows a fully broadcast
+//!   batch never costs cache freshness: the batch is reconciled, the
+//!   roll is counted as failed and retried at the next boundary;
 //! * through all of it the liveness invariant `metrics_check` enforces
 //!   on CI snapshots holds: `requests = responses + failures` and
 //!   `retries ≤ requests`.
@@ -23,10 +26,13 @@
 mod common;
 
 use common::oracle::{dataset_key, probe_requests, records, report_key};
-use common::rpc::{apply_kill_factory, dist_cfg, inproc_cfg, one_shot_faulty_factory};
+use common::rpc::{
+    apply_kill_factory, dist_cfg, inproc_cfg, kill_on_factory, one_shot_faulty_factory,
+};
+use gir::core::ShardRequest;
 use gir::obs::rpc::RpcCounters;
 use gir::prelude::*;
-use gir::rpc::{DistributedGirServer, Fault, FaultAction, FaultPlan};
+use gir::rpc::{DistributedGirServer, EndpointFactory, Fault, FaultAction, FaultPlan};
 use gir::shard::ShardedGirServer;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -238,12 +244,12 @@ fn dead_slot_short_circuits_without_counter_movement() {
     dist.shutdown();
 }
 
-/// Builds matched distributed/oracle servers where shard 1's worker
-/// dies on `Apply` while `kills` holds charges, plus three update
+/// Builds matched distributed/oracle servers — the distributed one
+/// over `factory`'s (fault-injecting) workers — plus three update
 /// batches that churn every shard.
-fn apply_fault_fixture(
+fn update_fault_fixture(
     seed: u64,
-    kills: &Arc<AtomicU32>,
+    factory: EndpointFactory,
 ) -> (
     Vec<Record>,
     DistributedGirServer,
@@ -257,7 +263,7 @@ fn apply_fault_fixture(
         &data,
         ScoringFunction::linear(d),
         dist_cfg(s, Placement::Hash),
-        apply_kill_factory(1, kills.clone()),
+        factory,
     )
     .unwrap();
     let oracle = ShardedGirServer::build(
@@ -275,8 +281,12 @@ fn apply_fault_fixture(
             let mut batch: Vec<Update> = (0..6)
                 .map(|i| {
                     let src = &data[(b * 17 + i * 5) % data.len()];
-                    let attrs: Vec<f64> =
-                        src.attrs.coords().iter().map(|x| (x * 0.83) + 0.05).collect();
+                    let attrs: Vec<f64> = src
+                        .attrs
+                        .coords()
+                        .iter()
+                        .map(|x| (x * 0.83) + 0.05)
+                        .collect();
                     let rec = Record::new(next_id, attrs);
                     next_id += 1;
                     Update::Insert(rec)
@@ -304,7 +314,8 @@ fn apply_failure_mid_broadcast_rejoins_inline_without_divergence() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let c = RpcCounters::global();
     let kills = Arc::new(AtomicU32::new(0));
-    let (_, dist, oracle, batches) = apply_fault_fixture(0xAF01, &kills);
+    let (_, dist, oracle, batches) =
+        update_fault_fixture(0xAF01, apply_kill_factory(1, kills.clone()));
 
     let r_d = dist.apply_updates(&batches[0]).unwrap();
     let r_o = oracle.apply_updates(&batches[0]).unwrap();
@@ -360,7 +371,8 @@ fn apply_failure_with_failed_rejoin_leaves_shard_dead_then_converges() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let c = RpcCounters::global();
     let kills = Arc::new(AtomicU32::new(0));
-    let (_, dist, oracle, batches) = apply_fault_fixture(0xAF02, &kills);
+    let (_, dist, oracle, batches) =
+        update_fault_fixture(0xAF02, apply_kill_factory(1, kills.clone()));
 
     dist.apply_updates(&batches[0]).unwrap();
     oracle.apply_updates(&batches[0]).unwrap();
@@ -399,6 +411,102 @@ fn apply_failure_with_failed_rejoin_leaves_shard_dead_then_converges() {
         dataset_key(dist.records_snapshot().unwrap()),
         dataset_key(oracle.records_snapshot().unwrap()),
         "record multiset diverged after recovery"
+    );
+    assert_live(&c);
+    dist.shutdown();
+}
+
+/// The reconcile-before-error contract across the wire: shard 1 dies on
+/// the snapshot `Cut` that follows a *fully broadcast* boundary batch.
+/// The batch is applied on every worker, so the coordinator's cache
+/// must be reconciled with it no matter what the roll does — here the
+/// batch inserts a dominating record, so every warmed entry is stale
+/// the moment it lands. The failed roll is counted, not surfaced; the
+/// reaped shard is visibly dead, rejoins with the next batch, and the
+/// next boundary rolls the snapshot again.
+#[test]
+fn cut_failure_after_broadcast_still_reconciles_the_cache() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let c = RpcCounters::global();
+    let kills = Arc::new(AtomicU32::new(0));
+    let (_, dist, oracle, batches) = update_fault_fixture(
+        0xAF03,
+        kill_on_factory(1, |req| matches!(req, ShardRequest::Cut), kills.clone()),
+    );
+
+    let warm = probe_requests(&[vec![0.55, 0.62, 0.48], vec![0.3, 0.7, 0.5]], 5);
+    dist.apply_updates(&batches[0]).unwrap();
+    oracle.apply_updates(&batches[0]).unwrap();
+    dist.run_batch(&warm);
+    oracle.run_batch(&warm);
+    assert!(
+        dist.run_batch(&warm).responses.iter().all(|r| r.from_cache),
+        "warm-up must leave every probe cached"
+    );
+
+    // Epoch 2 is a `snapshot_every` boundary; the champion enters every
+    // top-k. Shard 1 dies on the roll's Cut, after the broadcast.
+    let mut boundary = batches[1].clone();
+    boundary.push(Update::Insert(Record::new(
+        9_999_999,
+        vec![0.99, 0.99, 0.99],
+    )));
+    kills.store(1, Ordering::SeqCst);
+    let r_d = dist.apply_updates(&boundary);
+    let r_o = oracle.apply_updates(&boundary).unwrap();
+
+    // With shard 1 dead a miss fails (that is the fault's honest cost);
+    // what must never happen is a hit from an unreconciled cache.
+    let got = dist.run_batch(&warm);
+    let want = oracle.run_batch(&warm);
+    let stale = got
+        .responses
+        .iter()
+        .zip(&want.responses)
+        .filter(|(g, w)| g.from_cache && g.ids != w.ids)
+        .count();
+    assert_eq!(stale, 0, "stale cache hits after an applied batch");
+    assert_eq!(
+        report_key(&r_d.expect("a failed roll must not fail an applied batch")),
+        report_key(&r_o),
+        "boundary batch report diverged"
+    );
+    assert_eq!(dist.dead_shards(), vec![1], "the Cut kill must be visible");
+    assert_eq!(dist.backend().snapshot_failures(), 1);
+    assert_eq!(dist.backend().snapshot_epoch(), 0, "failed roll committed");
+
+    // The next batch rejoins shard 1 up front (replaying the boundary
+    // batch from the WAL) and both sides converge bit-identically.
+    let r_d = dist.apply_updates(&batches[2]).unwrap();
+    let r_o = oracle.apply_updates(&batches[2]).unwrap();
+    // (The cache fields legitimately differ: the oracle admitted
+    // entries from the probes the distributed side had to fail.)
+    assert_eq!(
+        (r_d.inserted, r_d.deleted, r_d.missed_deletes),
+        (r_o.inserted, r_o.deleted, r_o.missed_deletes),
+        "post-rejoin owner outcomes diverged"
+    );
+    assert!(dist.dead_shards().is_empty(), "up-front rejoin failed");
+    let got = dist.run_batch(&warm);
+    let want = oracle.run_batch(&warm);
+    for (i, (g, w)) in got.responses.iter().zip(&want.responses).enumerate() {
+        assert!(!g.failed, "probe {i} failed after rejoin");
+        assert_eq!(g.ids, w.ids, "probe {i} ids diverged after rejoin");
+        assert_eq!(g.ids[0], 9_999_999, "probe {i} lost the champion");
+    }
+    assert_eq!(
+        dataset_key(dist.records_snapshot().unwrap()),
+        dataset_key(oracle.records_snapshot().unwrap()),
+        "record multiset diverged"
+    );
+
+    // Epoch 4: the roll that failed at epoch 2 is simply due again.
+    dist.apply_updates(&batches[0][..1]).unwrap();
+    assert_eq!(dist.backend().snapshot_failures(), 1, "retried roll failed");
+    assert_eq!(
+        dist.backend().snapshot_epoch(),
+        4,
+        "retried roll did not commit"
     );
     assert_live(&c);
     dist.shutdown();

@@ -3,7 +3,7 @@
 //! full server is driven with concurrent batches + updates, with every
 //! cache-served answer cross-checked against a linear-scan oracle.
 
-use gir::core::CacheKey;
+use gir::core::{CacheKey, DeltaBatch};
 use gir::prelude::*;
 use gir::query::naive_topk;
 use gir::serve::{mixed_workload, ShardedGirCache, WorkloadConfig};
@@ -83,8 +83,10 @@ fn sharded_cache_smoke_8_threads_with_update_sweeps() {
                     5_000_000 + i as u64,
                     newcomers[i % newcomers.len()].attrs.coords().to_vec(),
                 );
-                sweeper_cache.on_insert(&rec);
-                sweeper_cache.on_delete(newcomers[(i * 13) % newcomers.len()].id);
+                let mut batch = DeltaBatch::new();
+                batch.record_insert(&rec);
+                batch.record_delete(newcomers[(i * 13) % newcomers.len()].id);
+                sweeper_cache.apply_batch(&batch, |_| None);
                 i += 1;
                 std::thread::yield_now();
             }
