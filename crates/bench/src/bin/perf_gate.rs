@@ -4,6 +4,7 @@
 //! perf_gate <baseline.json> <fresh.json> [--max-drop 0.25]
 //!           [--hit-rate-only] [--max-obs-overhead 0.05]
 //!           [--require-parallel-win] [--require-planner-win]
+//!           [--require-flat-recovery]
 //! ```
 //!
 //! Rows are matched on `(threads, n, mode, workload)`; for every match
@@ -52,6 +53,16 @@
 //! beat `indexed_recompute`** — the always-index policy this PR
 //! removed, which inverts exactly there. A file with no planner rows,
 //! or no d = 4 cells, fails: the gate must not pass by omission.
+//!
+//! `--require-flat-recovery` gates recovery time on a fresh
+//! `BENCH_recovery.json` (again passed as both positionals): the
+//! `recover_ms` of its longest WAL must be at most 2× that of its
+//! shortest. Recovery folds the WAL into the snapshot's records and
+//! bulk-loads once, so a longer log costs frame decoding and a larger
+//! build, not an R\*-tree insert or delete per op; replaying op by op
+//! measured 2.5× from 100 to 400 batches. Both rows come from the same
+//! run on the same machine. A file with fewer than two WAL lengths
+//! fails.
 
 use std::process::ExitCode;
 
@@ -231,6 +242,57 @@ fn planner_gate(rows: &[ColdRow]) -> Vec<String> {
     failures
 }
 
+/// One `"section":"recovery"` row of `BENCH_recovery.json`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RecoveryRow {
+    wal_batches: u64,
+    recover_ms: f64,
+}
+
+fn parse_recovery_rows(body: &str) -> Vec<RecoveryRow> {
+    body.lines()
+        .filter(|l| str_field(l, "section").as_deref() == Some("recovery"))
+        .filter_map(|l| {
+            Some(RecoveryRow {
+                wal_batches: num_field(l, "wal_batches")? as u64,
+                recover_ms: num_field(l, "recover_ms")?,
+            })
+        })
+        .collect()
+}
+
+/// The `--require-flat-recovery` check (see module docs): recovery at
+/// the longest WAL within 2× of recovery at the shortest.
+fn flat_recovery_gate(rows: &[RecoveryRow]) -> Vec<String> {
+    const MAX_RATIO: f64 = 2.0;
+    let shortest = rows.iter().min_by_key(|r| r.wal_batches);
+    let longest = rows.iter().max_by_key(|r| r.wal_batches);
+    let (Some(short), Some(long)) = (shortest, longest) else {
+        return vec!["--require-flat-recovery: no recovery rows in the fresh file".into()];
+    };
+    if long.wal_batches == short.wal_batches {
+        return vec![format!(
+            "--require-flat-recovery: one WAL length ({}) in the fresh file; need two",
+            short.wal_batches
+        )];
+    }
+    let ratio = long.recover_ms / short.recover_ms.max(1e-9);
+    println!(
+        "  recovery: {:.2} ms at {} WAL batches vs {:.2} ms at {} ({ratio:.2}x, limit \
+         {MAX_RATIO:.1}x)",
+        long.recover_ms, long.wal_batches, short.recover_ms, short.wal_batches
+    );
+    if ratio > MAX_RATIO {
+        vec![format!(
+            "recovery at {} WAL batches ({:.2} ms) is {ratio:.2}x recovery at {} ({:.2} ms), \
+             above {MAX_RATIO:.1}x: recovery is paying per logged op again",
+            long.wal_batches, long.recover_ms, short.wal_batches, short.recover_ms
+        )]
+    } else {
+        Vec::new()
+    }
+}
+
 /// Relative drop from `base` to `fresh` (positive = regression).
 fn rel_drop(base: f64, fresh: f64) -> f64 {
     if base <= 0.0 {
@@ -263,6 +325,9 @@ struct GateConfig {
     /// Require the adaptive miss-path planner to match the best static
     /// path per cell (fresh file is a `BENCH_cold_gir.json`).
     require_planner_win: bool,
+    /// Require recovery time to stay flat in the WAL length (fresh
+    /// file is a `BENCH_recovery.json`).
+    require_flat_recovery: bool,
     /// Cores visible to the gate process (injected so tests can pin
     /// it); the parallel-win check is skipped below 2 and demands the
     /// full 2× only at 4+.
@@ -452,6 +517,7 @@ fn main() -> ExitCode {
         max_obs_overhead: None,
         require_parallel_win: false,
         require_planner_win: false,
+        require_flat_recovery: false,
         parallel_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -468,6 +534,7 @@ fn main() -> ExitCode {
             "--hit-rate-only" => cfg.hit_rate_only = true,
             "--require-parallel-win" => cfg.require_parallel_win = true,
             "--require-planner-win" => cfg.require_planner_win = true,
+            "--require-flat-recovery" => cfg.require_flat_recovery = true,
             "--max-obs-overhead" => {
                 cfg.max_obs_overhead = Some(
                     it.next()
@@ -482,7 +549,8 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: perf_gate <baseline.json> <fresh.json> [--max-drop 0.25] \
              [--hit-rate-only] [--max-obs-overhead 0.05] \
-             [--require-parallel-win] [--require-planner-win]"
+             [--require-parallel-win] [--require-planner-win] \
+             [--require-flat-recovery]"
         );
         return ExitCode::from(2);
     };
@@ -509,10 +577,16 @@ fn main() -> ExitCode {
     if cfg.require_planner_win {
         println!("  (+ planner-win over the fresh cold-gir rows)");
     }
+    if cfg.require_flat_recovery {
+        println!("  (+ flat recovery over the fresh recovery rows)");
+    }
 
     let mut failures = gate(&baseline, &fresh, &cfg);
     if cfg.require_planner_win {
         failures.extend(planner_gate(&parse_cold_rows(&read(fresh_path))));
+    }
+    if cfg.require_flat_recovery {
+        failures.extend(flat_recovery_gate(&parse_recovery_rows(&read(fresh_path))));
     }
     if failures.is_empty() {
         println!("perf gate: PASS");
@@ -540,6 +614,7 @@ mod tests {
             max_obs_overhead: None,
             require_parallel_win: false,
             require_planner_win: false,
+            require_flat_recovery: false,
             parallel_cores: 1,
         }
     }
@@ -804,5 +879,34 @@ mod tests {
         assert_eq!(gate(&[], &fresh, &cfg).len(), 1);
         // Missing delta_obs row with the flag set: failure.
         assert_eq!(gate(&[], &[row(DELTA)], &cfg).len(), 1);
+    }
+
+    #[test]
+    fn flat_recovery_requirement() {
+        let file = |rows: &[(u64, f64)]| {
+            let mut lines = vec![
+                r#"{"section":"wal_append","fsync":"always","batches":512,"batches_per_s":4290.0,"mb_per_s":1.218}"#.to_string(),
+            ];
+            lines.extend(rows.iter().map(|(len, ms)| {
+                format!(
+                    r#"{{"section":"recovery","wal_batches":{len},"recover_ms":{ms:.2},"records":8160}}"#
+                )
+            }));
+            parse_recovery_rows(&format!("[\n  {}\n]\n", lines.join(",\n  ")))
+        };
+        // Folded recovery: 1.16x from 100 to 400 batches.
+        assert!(flat_recovery_gate(&file(&[(100, 3.2), (400, 3.7)])).is_empty());
+        // Exactly 2x passes; the longest and shortest rows are compared
+        // whatever the row order.
+        assert!(flat_recovery_gate(&file(&[(1600, 6.4), (100, 3.2), (400, 3.7)])).is_empty());
+        // Op-by-op replay: 2.47x.
+        assert_eq!(
+            flat_recovery_gate(&file(&[(100, 88.8), (400, 219.0)])).len(),
+            1
+        );
+        // The gate never passes by omission.
+        assert_eq!(flat_recovery_gate(&file(&[])).len(), 1);
+        assert_eq!(flat_recovery_gate(&file(&[(400, 3.7)])).len(), 1);
+        assert!(parse_recovery_rows(DELTA).is_empty());
     }
 }
