@@ -4,12 +4,13 @@
 //! Every parallel site in the workspace goes through [`fan_out`], which
 //! centralises three policies:
 //!
-//! * **Sequential fallback.** With one item, or when the pool policy
+//! * **Sequential fallback.** With one item, when the pool policy
 //!   says sequential ([`stealpool::global`] is `None` — fewer than two
 //!   effective threads, `GIR_POOL_THREADS=0`/`1`, or a
-//!   [`stealpool::configure_threads`] override), items run inline on
-//!   the caller in index order. The parallel path must be — and is,
-//!   see `tests/pool_differential.rs` — bit-identical to this.
+//!   [`stealpool::configure_threads`] override), or on a thread that
+//!   called [`stay_off_pool`], items run inline on the caller in index
+//!   order. The parallel path must be — and is, see
+//!   `tests/pool_differential.rs` — bit-identical to this.
 //! * **Span-capture hand-off.** When the calling thread is building an
 //!   EXPLAIN tree ([`tracing::capture_active`]), each job runs under
 //!   its own fresh [`tracing::Capture`] on whichever thread executes
@@ -24,24 +25,35 @@
 //!   request's tree. Collector delivery (global metrics) is unaffected
 //!   either way.
 
-use std::sync::OnceLock;
-
-/// Default [`min_items`] when `GIR_POOL_MIN_ITEMS` is unset: below ~64
-/// work items the pool's bookkeeping costs more than the work.
-const DEFAULT_MIN_ITEMS: usize = 64;
+use std::cell::Cell;
 
 /// The fan-out threshold: a [`fan_out`] whose total work is below this
-/// many items runs inline. One tunable for every call site, read once
-/// from `GIR_POOL_MIN_ITEMS` (unset or unparsable ⇒ 64; `0` ⇒ always
-/// fan out when the thread policy allows).
-pub fn min_items() -> usize {
-    static MIN: OnceLock<usize> = OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("GIR_POOL_MIN_ITEMS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_MIN_ITEMS)
-    })
+/// many items runs inline — below ~64 work items the pool's bookkeeping
+/// costs more than the work. One threshold for every call site.
+const MIN_ITEMS: usize = 64;
+
+thread_local! {
+    static OFF_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs every later [`fan_out`] on the calling thread inline.
+///
+/// For threads outside the pool that serve requests *from* pool jobs —
+/// in-process shard workers. A caller outside the pool helps with any
+/// queued job while its own fan-out drains, so such a thread could pick
+/// up a job that waits on the thread itself, and deadlock.
+pub fn stay_off_pool() {
+    OFF_POOL.set(true);
+}
+
+/// The pool a fan-out of `tasks` items carrying `work_items` total
+/// work runs on, or `None` to run it inline.
+fn pool_for(tasks: usize, work_items: usize) -> Option<&'static stealpool::Pool> {
+    if tasks > 1 && work_items >= MIN_ITEMS && !OFF_POOL.get() {
+        stealpool::global()
+    } else {
+        None
+    }
 }
 
 /// Runs `f(index, item)` over all items — on the global work-stealing
@@ -49,7 +61,7 @@ pub fn min_items() -> usize {
 /// inline otherwise — returning results in item order. `work_items` is
 /// the caller's measure of the total work behind the items (records
 /// scanned, candidates fed, requests served — *not* the task count):
-/// fan-outs below [`min_items`] run inline, where the pool's
+/// fan-outs below `MIN_ITEMS` (64) run inline, where the pool's
 /// bookkeeping would dominate. See the module docs for the guarantees.
 pub fn fan_out<T, R, F>(items: Vec<T>, work_items: usize, f: F) -> Vec<R>
 where
@@ -57,12 +69,7 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let pool = if items.len() > 1 && work_items >= min_items() {
-        stealpool::global()
-    } else {
-        None
-    };
-    let Some(pool) = pool else {
+    let Some(pool) = pool_for(items.len(), work_items) else {
         return items
             .into_iter()
             .enumerate()
@@ -93,5 +100,5 @@ where
 /// setup (collecting item vectors, cloning state) that only the
 /// parallel path needs.
 pub fn would_parallelize(tasks: usize, work_items: usize) -> bool {
-    tasks > 1 && work_items >= min_items() && stealpool::global().is_some()
+    pool_for(tasks, work_items).is_some()
 }

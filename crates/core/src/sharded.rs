@@ -263,7 +263,7 @@ pub fn gir_sharded(
 
     // Total record count is the fan-out work measure: each shard task
     // scans its slice of the dataset, so small datasets stay inline
-    // regardless of the shard count (`GIR_POOL_MIN_ITEMS`).
+    // regardless of the shard count (`pool::MIN_ITEMS`).
     let work: usize = shards.iter().map(|s| s.tree.len() as usize).sum();
 
     let t0 = Instant::now();

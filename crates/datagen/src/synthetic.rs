@@ -3,10 +3,9 @@
 use gir_rtree::Record;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The three standard synthetic distributions (paper §8, \[8\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Distribution {
     /// Attributes i.i.d. uniform on `[0,1]`.
     Independent,

@@ -8,10 +8,9 @@
 use crate::linalg;
 use crate::vector::PointD;
 use crate::EPS;
-use serde::{Deserialize, Serialize};
 
 /// A hyperplane `normal · x = offset` with unit-ish normal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hyperplane {
     /// Plane normal (not necessarily unit length, but never zero).
     pub normal: PointD,
@@ -76,7 +75,7 @@ impl Hyperplane {
 /// system report the *result perturbation* at each GIR boundary facet
 /// (paper §3.2): crossing an `Ordering` facet swaps two result records;
 /// crossing a `NonResult` facet promotes that record into position `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// `S(p_i, q') ≥ S(p_{i+1}, q')` — result records `i` and `i+1`
     /// (0-based rank of the higher one). Crossing it reorders them.
@@ -93,7 +92,7 @@ pub enum Provenance {
 
 /// A closed half-space `normal · x ≤ offset`, tagged with the GIR condition
 /// that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HalfSpace {
     /// Outward normal: points *out* of the feasible side.
     pub normal: PointD,

@@ -4,12 +4,11 @@
 //! but `d` is a runtime parameter of every experiment, so points carry their
 //! dimension dynamically. A boxed slice keeps the type two words wide.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A point (or direction vector) in `R^d`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct PointD(Box<[f64]>);
 
 impl PointD {

@@ -9,10 +9,9 @@
 
 use gir_geometry::vector::PointD;
 use gir_rtree::Mbb;
-use serde::{Deserialize, Serialize};
 
 /// Per-dimension monotone increasing transform `g_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transform {
     /// `g(x) = x`.
     Linear,
@@ -42,7 +41,7 @@ impl Transform {
 }
 
 /// A monotone scoring function `S(p, q) = Σ w_i · g_i(p_i)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScoringFunction {
     transforms: Vec<Transform>,
 }
@@ -177,7 +176,7 @@ impl ScoringFunction {
 }
 
 /// A top-k query vector: non-negative weights in `[0,1]^d` (§3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryVector {
     /// The weight vector `q = (w_1, …, w_d)`.
     pub weights: PointD,

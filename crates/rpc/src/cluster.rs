@@ -1,6 +1,6 @@
 //! The coordinator side: S shard workers behind [`ShardEndpoint`]s,
-//! a WAL that doubles as the replica catch-up stream, and snapshot
-//! cuts at `DeltaBatch` boundaries.
+//! consistent cuts at `DeltaBatch` boundaries, and the batches applied
+//! since the last cut — together, all a restarted worker needs.
 //!
 //! [`RemoteShards`] is the distributed counterpart of
 //! `gir_shard::ShardedDataset`: same placement function, same merge
@@ -10,13 +10,13 @@
 //! facets, and provenance are bit-identical to the in-process plan
 //! (pinned by `tests/rpc_differential.rs`).
 //!
-//! Durability and rejoin reuse the PR 8 machinery verbatim: every
-//! applied batch is WAL-appended *before* broadcast (the WAL is the
-//! authority), snapshots are `SnapshotState` frames cut at batch
-//! boundaries, and a restarted worker rejoins from the newest snapshot
-//! plus the WAL suffix ([`RemoteShards::rejoin`]) — the same
-//! snapshot + suffix-replay contract `gir_serve::DurableServer` proves
-//! against its never-crashed oracle.
+//! Rejoin is durable recovery's fold: every batch joins the suffix
+//! *before* its broadcast, a successful cut replaces the held
+//! `SnapshotState` and clears the suffix, and a restarted worker loads
+//! its shard of the cut with the suffix folded in
+//! ([`gir_serve::fold_wal`], the function `DurableServer` recovers
+//! with) — so coordinator memory and rejoin cost are bounded by the
+//! batches since the last cut, not by the history.
 //!
 //! Failure semantics extend the PR 4 contract: a dead or hung worker
 //! fails *that shard's* call — the coordinator degrades the one
@@ -29,15 +29,15 @@ use crate::worker::placement_tag;
 use gir_core::phase1::ordering_halfspaces;
 use gir_core::{
     merge_ranked_lists, DeltaBatch, GirError, GirOutput, GirRegion, GirStats, Method, RegionKind,
-    ShardRequest, ShardResponse, SnapshotState, WalBatch, WireError,
+    ShardRequest, ShardResponse, SnapshotState, WalBatch,
 };
 use gir_geometry::hyperplane::HalfSpace;
 use gir_geometry::vector::PointD;
 use gir_obs::rpc::RpcCounters;
 use gir_query::{QueryVector, Record, ScoringFunction, TopKResult};
-use gir_serve::{wal_batch_from_updates, Update, UpdateReport};
+use gir_serve::{fold_wal, wal_batch_from_updates, Update, UpdateReport};
 use gir_shard::{Placement, RepairSweeps};
-use gir_storage::{read_snapshot, write_snapshot, FsyncPolicy, LogDir, MemDir, StorageError, Wal};
+use gir_storage::StorageError;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +59,7 @@ pub struct RemoteConfig {
     /// request's bytes are in flight, the endpoint poisons itself on
     /// timeout — a late response must never answer a newer request —
     /// so the retry observes `Closed`, fails fast, and the shard is
-    /// reaped for snapshot + WAL rejoin instead.
+    /// reaped for a rejoin instead.
     pub retries: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub backoff: Duration,
@@ -88,10 +88,8 @@ pub enum ClusterError {
         /// The transport/worker error.
         error: RpcError,
     },
-    /// The durability tier failed (WAL or snapshot I/O).
+    /// A consistent cut failed: a worker answered from another epoch.
     Storage(StorageError),
-    /// A persisted frame failed to decode.
-    Wire(WireError),
 }
 
 impl fmt::Display for ClusterError {
@@ -99,24 +97,11 @@ impl fmt::Display for ClusterError {
         match self {
             ClusterError::Rpc { shard, error } => write!(f, "shard {shard}: {error}"),
             ClusterError::Storage(e) => write!(f, "storage: {e}"),
-            ClusterError::Wire(e) => write!(f, "wire: {e}"),
         }
     }
 }
 
 impl std::error::Error for ClusterError {}
-
-impl From<StorageError> for ClusterError {
-    fn from(e: StorageError) -> ClusterError {
-        ClusterError::Storage(e)
-    }
-}
-
-impl From<WireError> for ClusterError {
-    fn from(e: WireError) -> ClusterError {
-        ClusterError::Wire(e)
-    }
-}
 
 /// One applied update batch, as the serving layer needs it: the
 /// owner-outcome-derived report plus the cache-maintenance inputs.
@@ -134,8 +119,15 @@ struct Slot {
     endpoint: Option<Box<dyn ShardEndpoint>>,
 }
 
-/// S shard workers plus the coordinator's durable state (WAL +
-/// snapshots in a [`MemDir`]) — the distributed dataset.
+/// What a rejoin reads: the newest consistent cut and every batch
+/// applied since, in order. Only a successful cut clears the suffix.
+struct Recovery {
+    cut: SnapshotState,
+    suffix: Vec<WalBatch>,
+}
+
+/// S shard workers plus the state that rejoins them — the distributed
+/// dataset.
 pub struct RemoteShards {
     scoring: ScoringFunction,
     placement: Placement,
@@ -144,12 +136,9 @@ pub struct RemoteShards {
     cfg: RemoteConfig,
     slots: Vec<Mutex<Slot>>,
     factory: EndpointFactory,
-    dir: Box<dyn LogDir>,
-    wal: Mutex<Wal>,
+    recovery: Mutex<Recovery>,
     /// Batches applied since launch (the replica epoch).
     epoch: AtomicU64,
-    /// Epoch captured by the newest on-disk snapshot.
-    snap_epoch: AtomicU64,
     /// Live records across all shards (owner outcomes keep it exact).
     records: AtomicU64,
     /// Snapshot rolls that failed after their batch was broadcast.
@@ -157,13 +146,9 @@ pub struct RemoteShards {
     counters: RpcCounters,
 }
 
-fn snap_name(epoch: u64) -> String {
-    format!("snap-{epoch:016x}")
-}
-
 impl RemoteShards {
-    /// Partitions `records`, persists the epoch-0 snapshot, opens the
-    /// WAL, and launches + loads one worker per shard.
+    /// Partitions `records`, holds the partition as the epoch-0 cut,
+    /// and launches + loads one worker per shard.
     pub fn launch(
         scoring: ScoringFunction,
         placement: Placement,
@@ -179,15 +164,6 @@ impl RemoteShards {
             parts[placement.shard_of(rec.id, &rec.attrs, num_shards)].push(rec.clone());
         }
 
-        let dir: Box<dyn LogDir> = Box::new(MemDir::new());
-        let snap = SnapshotState {
-            batches: 0,
-            shards: parts.clone(),
-        };
-        write_snapshot(dir.as_ref(), &snap_name(0), &snap.encode())?;
-        let wal_file = dir.create("wal").map_err(StorageError::from)?;
-        let wal = Wal::create(wal_file, FsyncPolicy::Always);
-
         let cluster = RemoteShards {
             scoring,
             placement,
@@ -198,10 +174,14 @@ impl RemoteShards {
                 .map(|_| Mutex::new(Slot { endpoint: None }))
                 .collect(),
             factory,
-            dir,
-            wal: Mutex::new(wal),
+            recovery: Mutex::new(Recovery {
+                cut: SnapshotState {
+                    batches: 0,
+                    shards: parts.clone(),
+                },
+                suffix: Vec::new(),
+            }),
             epoch: AtomicU64::new(0),
-            snap_epoch: AtomicU64::new(0),
             records: AtomicU64::new(records.len() as u64),
             snapshot_failures: AtomicU64::new(0),
             counters: RpcCounters::global(),
@@ -236,6 +216,10 @@ impl RemoteShards {
 
     fn lock_slot(&self, s: usize) -> std::sync::MutexGuard<'_, Slot> {
         self.slots[s].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_recovery(&self) -> std::sync::MutexGuard<'_, Recovery> {
+        self.recovery.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One counted call on a specific endpoint, with timeout retries.
@@ -304,7 +288,7 @@ impl RemoteShards {
         {
             // Closed: the worker is gone. Timeout (post-retry): the
             // stream may still carry the late response, so it cannot be
-            // reused — reap it; the worker rejoins via snapshot + WAL.
+            // reused — reap it; the worker rejoins from the last cut.
             if let Some(mut dead) = slot.endpoint.take() {
                 dead.shutdown();
             }
@@ -349,32 +333,45 @@ impl RemoteShards {
     }
 
     /// Snapshot rolls that failed after their batch was applied (the
-    /// WAL stayed authoritative and the cluster kept accepting writes).
+    /// previous cut and its suffix stayed authoritative and the cluster
+    /// kept accepting writes).
     pub fn snapshot_failures(&self) -> u64 {
         self.snapshot_failures.load(Ordering::SeqCst)
     }
 
-    /// The epoch the newest snapshot was cut at (0 = the launch
-    /// snapshot); a rejoin replays the WAL from here.
+    /// The epoch the newest cut was taken at (0 = the launch
+    /// partition); a rejoin folds the batches since into it.
     pub fn snapshot_epoch(&self) -> u64 {
-        self.snap_epoch.load(Ordering::SeqCst)
+        self.lock_recovery().cut.batches
     }
 
-    /// Restarts shard `s` from the newest snapshot plus the WAL suffix
-    /// — the delta-stream catch-up of the PR 8 durability contract.
+    /// Restarts shard `s` with one `Load` and at most one `Apply`: the
+    /// fresh worker loads its shard of the last cut with every suffix
+    /// batch but the last folded in ([`fold_wal`], as durable recovery
+    /// folds its WAL), then applies the last batch.
     ///
-    /// Returns the epoch and owner outcomes of the *last* replayed WAL
-    /// batch (`None` when the suffix was empty): when [`Self::apply`]
-    /// loses a shard mid-broadcast, the batch is already in the WAL, so
-    /// the replay both catches the fresh worker up *and* recovers the
-    /// outcomes the broadcast failed to collect.
+    /// Returns the epoch and owner outcomes of that last batch (`None`
+    /// when the suffix was empty): when [`Self::apply`] loses a shard
+    /// mid-broadcast, the batch is already in the suffix, so the rejoin
+    /// both catches the fresh worker up *and* recovers the outcomes the
+    /// broadcast failed to collect.
+    ///
+    /// Folding the shard's records alone is exact because placement is
+    /// a pure function of `(id, attrs)`: a delete matches only records
+    /// of its own shard, and the inserts of other shards are dropped.
     pub fn rejoin(&self, s: usize) -> Result<Option<(u64, Vec<u8>)>, ClusterError> {
-        let snap_epoch = self.snap_epoch.load(Ordering::SeqCst);
-        let payload = read_snapshot(self.dir.as_ref(), &snap_name(snap_epoch))?;
-        let snap = SnapshotState::decode(&payload)?;
+        let (epoch, records, last) = {
+            let log = self.lock_recovery();
+            let (last, folded) = match log.suffix.split_last() {
+                Some((last, folded)) => (Some(last.clone()), folded),
+                None => (None, &log.suffix[..]),
+            };
+            let mut records = fold_wal(log.cut.shards[s].clone(), folded);
+            records.retain(|r| self.placement.shard_of(r.id, &r.attrs, self.num_shards) == s);
+            (log.cut.batches + folded.len() as u64, records, last)
+        };
         let mut ep = (self.factory)(s);
-        let records = snap.shards.get(s).cloned().unwrap_or_default();
-        match self.call_ep(ep.as_mut(), s, &self.load_request(s, snap.batches, records))? {
+        match self.call_ep(ep.as_mut(), s, &self.load_request(s, epoch, records))? {
             ShardResponse::Loaded { .. } => {}
             other => {
                 return Err(ClusterError::Rpc {
@@ -383,16 +380,11 @@ impl RemoteShards {
                 })
             }
         }
-        let tail = {
-            let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
-            wal.tail(snap.batches)?
-        };
-        let mut last = None;
-        for (i, payload) in tail.iter().enumerate() {
-            let batch = WalBatch::decode(payload)?;
-            let epoch = snap.batches + i as u64 + 1;
+        let mut outcomes = None;
+        if let Some(batch) = last {
+            let epoch = epoch + 1;
             match self.call_ep(ep.as_mut(), s, &ShardRequest::Apply { epoch, batch })? {
-                ShardResponse::Applied { outcomes, .. } => last = Some((epoch, outcomes)),
+                ShardResponse::Applied { outcomes: o, .. } => outcomes = Some((epoch, o)),
                 other => {
                     return Err(ClusterError::Rpc {
                         shard: s,
@@ -404,7 +396,7 @@ impl RemoteShards {
         self.lock_slot(s).endpoint = Some(ep);
         self.counters.rejoins.inc();
         tracing::event!("rpc_rejoin");
-        Ok(last)
+        Ok(outcomes)
     }
 
     /// Rejoins every dead shard; returns how many came back.
@@ -416,9 +408,9 @@ impl RemoteShards {
         Ok(dead.len())
     }
 
-    /// Applies one update batch: WAL-append first (the WAL is the
-    /// authority a rejoining replica replays), then broadcast to every
-    /// worker, then derive the report from the *owner* outcomes.
+    /// Applies one update batch: append it to the suffix first (the
+    /// suffix is what a rejoining replica folds), then broadcast to
+    /// every worker, then derive the report from the *owner* outcomes.
     ///
     /// Dead shards are rejoined up front so owner outcomes are exact —
     /// this is what keeps `UpdateReport` parity with the in-process
@@ -426,8 +418,8 @@ impl RemoteShards {
     /// shard, so the distributed one catches the shard up before
     /// consulting it).
     ///
-    /// `Err` means *nothing was applied*: the only fallible steps are
-    /// the up-front rejoin and the WAL append. Once the batch is
+    /// `Err` means *nothing was applied*: the only fallible step is the
+    /// up-front rejoin. Once the batch is
     /// broadcast the call succeeds — the caller's cache must be
     /// reconciled with it — and a snapshot roll that fails afterwards
     /// is counted, not surfaced (see below).
@@ -435,8 +427,8 @@ impl RemoteShards {
         self.rejoin_dead()?;
         let wal_batch = wal_batch_from_updates(updates);
         let epoch = {
-            let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
-            wal.append(&wal_batch.encode())?;
+            let mut log = self.lock_recovery();
+            log.suffix.push(wal_batch.clone());
             self.epoch.fetch_add(1, Ordering::SeqCst) + 1
         };
 
@@ -462,8 +454,8 @@ impl RemoteShards {
                     // failure: the shard's apply state is unknown (a
                     // worker that failed mid-batch holds a partial
                     // prefix and shuts itself down). Reap it and rejoin
-                    // inline — the WAL already holds this batch, so the
-                    // replay lands the fresh worker exactly at this
+                    // inline — the suffix already holds this batch, so
+                    // the rejoin lands the fresh worker exactly at this
                     // boundary and recovers its owner outcomes. If the
                     // rejoin fails too, the shard stays dead (the next
                     // apply rejoins it up front); only its owner
@@ -516,11 +508,11 @@ impl RemoteShards {
             .fetch_sub(report.deleted as u64, Ordering::SeqCst);
         // A snapshot cut needs every worker live; with a shard still
         // dead (its inline rejoin failed above) skip the roll — safe,
-        // because the WAL is never rotated, so the previous snapshot
-        // still seeds any replay. For the same reason a roll that fails
-        // (a worker dying on its `Cut` or answering it from the wrong
-        // epoch, a snapshot write error) is not fatal: the batch is
-        // applied everywhere that is live, the worker that failed the
+        // because the suffix is cleared only by a successful cut, so
+        // the previous cut plus the suffix still seed any rejoin. For
+        // the same reason a roll that fails (a worker dying on its `Cut`
+        // or answering it from the wrong epoch) is not fatal: the batch
+        // is applied everywhere that is live, the worker that failed the
         // cut was reaped for the next apply's up-front rejoin, and the
         // next cadence boundary rolls again — the contract
         // `DurableServer` gives a snapshot failure before its commit
@@ -539,21 +531,17 @@ impl RemoteShards {
         })
     }
 
-    /// Cuts a consistent snapshot at the current batch boundary and
-    /// retires the previous one. The WAL itself is never rotated —
-    /// [`Wal::tail`] indexes from record 0, so any snapshot epoch can
-    /// seed a replay.
+    /// Cuts a consistent snapshot at the current batch boundary: it
+    /// replaces the held cut, and the suffix it covers is dropped.
     fn roll_snapshot(&self, epoch: u64) -> Result<(), ClusterError> {
-        let cut = self.cut_all()?;
-        let snap = SnapshotState {
+        let shards = self.cut_all()?;
+        let mut log = self.lock_recovery();
+        debug_assert_eq!(log.cut.batches + log.suffix.len() as u64, epoch);
+        log.cut = SnapshotState {
             batches: epoch,
-            shards: cut,
+            shards,
         };
-        write_snapshot(self.dir.as_ref(), &snap_name(epoch), &snap.encode())?;
-        let old = self.snap_epoch.swap(epoch, Ordering::SeqCst);
-        if old != epoch {
-            let _ = self.dir.remove(&snap_name(old));
-        }
+        log.suffix.clear();
         Ok(())
     }
 
@@ -563,9 +551,9 @@ impl RemoteShards {
     /// prove the cut is a global state; cf. `gir_obs::ShardScopes`).
     ///
     /// A worker that answers from another epoch (or with the wrong
-    /// response) has diverged from the WAL: it is reaped along with the
-    /// error, so it cannot keep serving and the next [`Self::apply`]
-    /// rebuilds it from snapshot + WAL like any other dead shard.
+    /// response) has diverged from the batch stream: it is reaped along
+    /// with the error, so it cannot keep serving and the next
+    /// [`Self::apply`] rejoins it like any other dead shard.
     pub fn cut_all(&self) -> Result<Vec<Vec<Record>>, ClusterError> {
         let want = self.epoch();
         let mut shards = Vec::with_capacity(self.num_shards);
@@ -777,7 +765,7 @@ mod tests {
     use crate::endpoint::ThreadEndpoint;
     use crate::testkit::records;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// A worker whose `Cut` claims the previous epoch while `armed`.
     struct StaleCut {
@@ -842,12 +830,150 @@ mod tests {
         assert_eq!(cluster.snapshot_epoch(), 0);
         assert_eq!(cluster.dead_shards(), vec![1], "diverged shard kept live");
 
-        // The next apply rebuilds shard 1 from snapshot + WAL and rolls.
+        // The next apply rejoins shard 1 from the cut + suffix and rolls.
         assert_eq!(cluster.apply(&insert(900_002)).unwrap().report.inserted, 1);
         assert!(cluster.dead_shards().is_empty());
         assert_eq!(cluster.snapshot_failures(), 1);
         assert_eq!(cluster.snapshot_epoch(), 2);
         let live: usize = cluster.cut_all().unwrap().iter().map(Vec::len).sum();
         assert_eq!(live, data.len() + 2);
+    }
+
+    /// Logs every request kind a shard's endpoints receive.
+    struct Recording {
+        inner: ThreadEndpoint,
+        shard: usize,
+        log: Arc<Mutex<Vec<(usize, &'static str)>>>,
+    }
+
+    impl ShardEndpoint for Recording {
+        fn call(&mut self, req: &ShardRequest, t: Duration) -> Result<ShardResponse, RpcError> {
+            let kind = match req {
+                ShardRequest::Load { .. } => "Load",
+                ShardRequest::Apply { .. } => "Apply",
+                ShardRequest::Cut => "Cut",
+                _ => "other",
+            };
+            self.log.lock().unwrap().push((self.shard, kind));
+            self.inner.call(req, t)
+        }
+
+        fn shutdown(&mut self) {
+            self.inner.shutdown();
+        }
+    }
+
+    /// A shard's records as a sorted multiset key.
+    fn multiset(records: &[Record]) -> Vec<(u64, Vec<u64>)> {
+        let mut key: Vec<(u64, Vec<u64>)> = records
+            .iter()
+            .map(|r| (r.id, r.attrs.coords().iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        key.sort();
+        key
+    }
+
+    #[test]
+    fn rejoin_folds_the_suffix_into_one_load_and_one_apply() {
+        const S: usize = 3;
+        let t = 1;
+        let data = records(200, 3, 0x4E30);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let factory: EndpointFactory = {
+            let log = log.clone();
+            Box::new(move |shard| {
+                Box::new(Recording {
+                    inner: ThreadEndpoint::spawn(),
+                    shard,
+                    log: log.clone(),
+                })
+            })
+        };
+        let cluster = RemoteShards::launch(
+            ScoringFunction::linear(3),
+            Placement::Hash,
+            S,
+            &data,
+            RemoteConfig {
+                snapshot_every: 1000,
+                ..RemoteConfig::default()
+            },
+            factory,
+        )
+        .unwrap();
+        // Two records of the cut on shard t; hash placement reads only
+        // the id, so a re-insert under new attributes stays on t.
+        let mut on_t = data
+            .iter()
+            .filter(|r| Placement::Hash.shard_of(r.id, &r.attrs, S) == t);
+        let (gone, again) = (on_t.next().unwrap(), on_t.next().unwrap());
+        let delete = |r: &Record| Update::Delete {
+            id: r.id,
+            attrs: r.attrs.clone(),
+        };
+        let fresh = |id: u64| Update::Insert(Record::new(id, vec![0.3, 0.6, 0.4]));
+        let batches = [
+            vec![delete(gone), fresh(900_000), fresh(900_001), fresh(900_002)],
+            vec![delete(again), fresh(900_003)],
+            vec![
+                Update::Insert(Record::new(again.id, vec![0.9, 0.1, 0.5])),
+                fresh(900_004),
+                fresh(900_005),
+            ],
+            vec![fresh(900_006), delete(gone)],
+        ];
+        for b in &batches {
+            cluster.apply(b).unwrap();
+        }
+        assert_eq!(cluster.lock_recovery().suffix.len(), batches.len());
+        let before = cluster.cut_all().unwrap();
+
+        cluster.reap(t);
+        log.lock().unwrap().clear();
+        let (epoch, outcomes) = cluster.rejoin(t).unwrap().expect("a non-empty suffix");
+        assert_eq!(epoch, batches.len() as u64);
+        assert_eq!(outcomes.len(), batches[3].len());
+        assert_eq!(*log.lock().unwrap(), vec![(t, "Load"), (t, "Apply")]);
+
+        let after = cluster.cut_all().unwrap();
+        assert!(before[t].iter().all(|r| r.id != gone.id));
+        assert!(before[t].iter().any(|r| r.id == again.id));
+        assert_eq!(multiset(&after[t]), multiset(&before[t]));
+    }
+
+    #[test]
+    fn suffix_never_outgrows_the_cut_cadence() {
+        let every = 4;
+        let data = records(120, 3, 0x5CF);
+        let cluster = RemoteShards::launch(
+            ScoringFunction::linear(3),
+            Placement::Hash,
+            3,
+            &data,
+            RemoteConfig {
+                snapshot_every: every,
+                ..RemoteConfig::default()
+            },
+            Box::new(|_| Box::new(ThreadEndpoint::spawn())),
+        )
+        .unwrap();
+        for b in 0..100u64 {
+            let victim = &data[b as usize];
+            cluster
+                .apply(&[
+                    Update::Insert(Record::new(800_000 + b, vec![0.2, 0.4, 0.7])),
+                    Update::Delete {
+                        id: victim.id,
+                        attrs: victim.attrs.clone(),
+                    },
+                ])
+                .unwrap();
+            let log = cluster.lock_recovery();
+            assert!(log.suffix.len() as u64 <= every, "batch {b}");
+            assert_eq!(log.cut.batches + log.suffix.len() as u64, b + 1);
+        }
+        assert!(cluster.dead_shards().is_empty());
+        assert_eq!(cluster.snapshot_epoch(), 100);
+        assert_eq!(cluster.records(), data.len() as u64);
     }
 }

@@ -397,7 +397,13 @@ impl ShardWorker {
     /// or the peer closes. Malformed frames answer `Error` (the
     /// connection survives — the frame layer already guaranteed we
     /// consumed exactly one frame).
+    ///
+    /// The serving thread never runs pool jobs
+    /// ([`gir_core::pool::stay_off_pool`]): an in-process worker is a
+    /// plain thread, and its requests come from pool jobs that wait on
+    /// it.
     pub fn serve<C: Conn>(mut self, mut conn: FrameConn<C>) {
+        gir_core::pool::stay_off_pool();
         loop {
             let (kind, payload) = match conn.recv(None) {
                 Ok(f) => f,

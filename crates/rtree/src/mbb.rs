@@ -1,10 +1,9 @@
 //! Minimum bounding boxes and the R\* split cost metrics.
 
 use gir_geometry::vector::PointD;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned minimum bounding box in `[0,1]^d`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mbb {
     /// Lower corner.
     pub lo: PointD,

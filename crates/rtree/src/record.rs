@@ -1,11 +1,10 @@
 //! Data records.
 
 use gir_geometry::vector::PointD;
-use serde::{Deserialize, Serialize};
 
 /// A dataset record: an identifier plus `d` numeric attributes in `[0,1]`
 /// (paper §3.1 assumes normalized data and query spaces).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Stable record identifier.
     pub id: u64,

@@ -223,7 +223,11 @@ fn check_dims<'a>(ops: impl IntoIterator<Item = &'a WalOp>, dim: usize) -> Resul
 ///
 /// The output order is fixed: surviving snapshot records in snapshot
 /// order, then surviving inserts in log order.
-fn fold_wal(snapshot: Vec<Record>, batches: &[WalBatch]) -> Vec<Record> {
+///
+/// [`DurableServer::recover_in`] folds its WAL with this, and the
+/// distributed coordinator folds the batches since its last cut to
+/// rejoin a worker.
+pub fn fold_wal(snapshot: Vec<Record>, batches: &[WalBatch]) -> Vec<Record> {
     // Live slots per id, oldest first — only for ids some delete names.
     let mut live: HashMap<u64, Vec<usize>> = batches
         .iter()

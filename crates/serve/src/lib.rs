@@ -73,8 +73,8 @@ extern crate self as gir_serve;
 
 pub use backend::{planned_miss, Applied, RemovedOwners, ShardBackend, SingleTree};
 pub use durable::{
-    updates_from_wal_batch, wal_batch_from_updates, AsServer, DurabilityConfig, DurabilityError,
-    DurableServer, RecoveryReport,
+    fold_wal, updates_from_wal_batch, wal_batch_from_updates, AsServer, DurabilityConfig,
+    DurabilityError, DurableServer, RecoveryReport,
 };
 pub use gir_core::plan::{MissPath, PlannerStats};
 pub use gir_core::RegionKind;

@@ -202,7 +202,7 @@ pub struct UpdateReport {
 /// span trees back in item order. `work_items` is the caller's measure
 /// of the total work behind the batch (requests × live records — a
 /// request's cost scales with the dataset it reads, not the request
-/// count), gated by `GIR_POOL_MIN_ITEMS` like every other fan-out.
+/// count), gated by `pool::MIN_ITEMS` like every other fan-out.
 fn execute_batch(
     requests: &[TopKRequest],
     work_items: usize,

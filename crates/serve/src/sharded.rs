@@ -223,7 +223,7 @@ impl ShardedGirCache {
     ) -> BatchOutcome {
         // Work measure: each shard pass classifies its entries against
         // every delta in the batch, so deltas × shards approximates the
-        // classification count (`GIR_POOL_MIN_ITEMS` keeps trivial
+        // classification count (`pool::MIN_ITEMS` keeps trivial
         // batches inline).
         let work = batch.len().saturating_mul(self.shards.len());
         let outs =

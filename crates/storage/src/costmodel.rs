@@ -7,10 +7,9 @@
 //! the reported axis.
 
 use crate::iostats::IoStatsSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Converts page counts into I/O time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Milliseconds per page read.
     pub read_ms: f64,

@@ -3,11 +3,11 @@
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::page::{PageBuf, PAGE_SIZE};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Identifier of a page within a store.
 pub type PageId = u64;
@@ -98,13 +98,13 @@ impl Default for MemPageStore {
 
 impl PageStore for MemPageStore {
     fn allocate(&self) -> PageId {
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap_or_else(PoisonError::into_inner);
         pages.push(None);
         (pages.len() - 1) as PageId
     }
 
     fn read_page(&self, id: PageId) -> Result<Bytes, StorageError> {
-        let pages = self.pages.read();
+        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
         let slot = pages.get(id as usize).ok_or(StorageError::NoSuchPage(id))?;
         self.stats.record_read();
         match slot {
@@ -114,7 +114,7 @@ impl PageStore for MemPageStore {
     }
 
     fn write_page(&self, id: PageId, page: PageBuf) -> Result<(), StorageError> {
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap_or_else(PoisonError::into_inner);
         let slot = pages
             .get_mut(id as usize)
             .ok_or(StorageError::NoSuchPage(id))?;
@@ -132,7 +132,10 @@ impl PageStore for MemPageStore {
     }
 
     fn num_pages(&self) -> u64 {
-        self.pages.read().len() as u64
+        self.pages
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64
     }
 }
 
@@ -207,7 +210,7 @@ impl PageStore for FilePageStore {
         if id >= self.next_id.load(Ordering::Relaxed) {
             return Err(StorageError::NoSuchPage(id));
         }
-        let mut file = self.file.lock();
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let mut buf = vec![0u8; SLOT_SIZE];
         file.seek(SeekFrom::Start(id * SLOT_SIZE as u64))?;
         // The file may end short of the slot (allocated-but-unwritten
@@ -254,7 +257,7 @@ impl PageStore for FilePageStore {
         slot.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
         slot.extend_from_slice(&crate::crc::crc32(page.as_slice()).to_le_bytes());
         slot.extend_from_slice(page.as_slice());
-        let mut file = self.file.lock();
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         file.seek(SeekFrom::Start(id * SLOT_SIZE as u64))?;
         file.write_all(&slot)?;
         self.stats.record_write();

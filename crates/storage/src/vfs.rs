@@ -18,13 +18,12 @@
 //! plus create/open/rename/remove/list on the directory — because that
 //! is all a WAL and a write-new-then-rename snapshot protocol need.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One append-only log (or snapshot) file.
 ///
@@ -168,6 +167,12 @@ impl LogDir for FsDir {
 
 type MemFiles = Arc<Mutex<BTreeMap<String, Arc<Mutex<Vec<u8>>>>>>;
 
+/// A poisoned lock still guards consistent bytes: every critical section
+/// here is a single `Vec`/map operation.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// In-memory [`LogDir`]. `Clone` shares the same directory, so a test
 /// can keep a handle to the "disk image" while a [`CrashDir`] wrapper
 /// dies, then recover from the surviving bytes.
@@ -183,7 +188,7 @@ impl MemDir {
     }
 
     fn get(&self, name: &str) -> Option<Arc<Mutex<Vec<u8>>>> {
-        self.files.lock().get(name).cloned()
+        lock(&self.files).get(name).cloned()
     }
 }
 
@@ -193,7 +198,7 @@ struct MemLogFile {
 
 impl LogFile for MemLogFile {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.data.lock().extend_from_slice(data);
+        lock(&self.data).extend_from_slice(data);
         Ok(())
     }
 
@@ -202,15 +207,15 @@ impl LogFile for MemLogFile {
     }
 
     fn len(&self) -> io::Result<u64> {
-        Ok(self.data.lock().len() as u64)
+        Ok(lock(&self.data).len() as u64)
     }
 
     fn read_all(&mut self) -> io::Result<Vec<u8>> {
-        Ok(self.data.lock().clone())
+        Ok(lock(&self.data).clone())
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        let mut data = self.data.lock();
+        let mut data = lock(&self.data);
         if (len as usize) < data.len() {
             data.truncate(len as usize);
         }
@@ -221,7 +226,7 @@ impl LogFile for MemLogFile {
 impl LogDir for MemDir {
     fn create(&self, name: &str) -> io::Result<Box<dyn LogFile>> {
         let data = Arc::new(Mutex::new(Vec::new()));
-        self.files.lock().insert(name.to_string(), data.clone());
+        lock(&self.files).insert(name.to_string(), data.clone());
         Ok(Box::new(MemLogFile { data }))
     }
 
@@ -233,11 +238,11 @@ impl LogDir for MemDir {
     }
 
     fn exists(&self, name: &str) -> io::Result<bool> {
-        Ok(self.files.lock().contains_key(name))
+        Ok(lock(&self.files).contains_key(name))
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        let mut files = self.files.lock();
+        let mut files = lock(&self.files);
         let data = files
             .remove(from)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no file {from}")))?;
@@ -246,15 +251,14 @@ impl LogDir for MemDir {
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        self.files
-            .lock()
+        lock(&self.files)
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no file {name}")))
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
-        Ok(self.files.lock().keys().cloned().collect())
+        Ok(lock(&self.files).keys().cloned().collect())
     }
 }
 

@@ -168,19 +168,6 @@ impl Wal {
         self.records
     }
 
-    /// Reads the payload suffix starting at record index `from_record`
-    /// (0-based, append order) — the delta stream a lagging replica
-    /// replays to catch up after a snapshot restore. Unsynced appends
-    /// are visible (the read goes through the same [`LogFile`]), and
-    /// only the CRC-valid prefix of the log is served, so a torn tail
-    /// never reaches a replica.
-    pub fn tail(&mut self, from_record: u64) -> Result<Vec<Vec<u8>>, StorageError> {
-        let raw = self.file.read_all()?;
-        let (mut payloads, _) = scan_frames(&raw);
-        let skip = (from_record as usize).min(payloads.len());
-        Ok(payloads.split_off(skip))
-    }
-
     /// Log length in bytes.
     pub fn len_bytes(&self) -> u64 {
         self.bytes
@@ -245,24 +232,6 @@ mod tests {
             let (_, _, again) = Wal::open(dir2.open("wal").unwrap(), FsyncPolicy::Never).unwrap();
             assert_eq!(again.truncated_bytes, 0, "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn tail_streams_the_suffix_from_any_record() {
-        let dir = MemDir::new();
-        let mut wal = Wal::create(dir.create("wal").unwrap(), FsyncPolicy::Never);
-        let frames: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; i as usize + 1]).collect();
-        for p in &frames {
-            wal.append(p).unwrap();
-        }
-        for from in 0..=7u64 {
-            let got = wal.tail(from).unwrap();
-            let want = frames[(from as usize).min(frames.len())..].to_vec();
-            assert_eq!(got, want, "tail from {from}");
-        }
-        // Appends made after a tail() call show up in the next one.
-        wal.append(b"late").unwrap();
-        assert_eq!(wal.tail(6).unwrap(), vec![b"late".to_vec()]);
     }
 
     #[test]
