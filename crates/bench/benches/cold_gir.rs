@@ -17,7 +17,11 @@
 //!   probes, so the row records the steady state the serve layer
 //!   reaches; `perf_gate --require-planner-win` holds it to ≤1.10× the
 //!   best static row per cell and strictly below `indexed_recompute`
-//!   at every d = 4 cell.
+//!   at every d = 4 cell;
+//! * `mirror/…` — one `TreeMirror::build` (and drop) over the loaded
+//!   tree, the price of the decoded tree a miss pays after every update
+//!   batch; `perf_gate --require-cheap-mirror` holds it to ≤2× the same
+//!   cell's `indexed_reuse/FP` row.
 //!
 //! Results go to stdout (criterion table) and to `BENCH_cold_gir.json`
 //! at the workspace root, which CI uploads as a workflow artifact
@@ -33,7 +37,7 @@
 
 use criterion::{BenchSummary, Criterion};
 use gir_core::plan::{MissPath, PlanInputs, Planner};
-use gir_core::{GirEngine, Method, PruneIndex, RegionKind, ShardView};
+use gir_core::{GirEngine, Method, PruneIndex, RegionKind, ShardView, TreeMirror};
 use gir_datagen::{synthetic, Distribution};
 use gir_query::QueryVector;
 use gir_rtree::RTree;
@@ -99,6 +103,9 @@ fn main() {
             let _ = engine
                 .gir_indexed(&q, k, Method::FacetPruning, &index)
                 .expect("warm");
+            c.bench_function(&format!("mirror/n{n}/d{d}"), |b| {
+                b.iter(|| TreeMirror::build(&tree).expect("mirror").num_records())
+            });
             for m in methods {
                 let cold_id = format!("cold/{}/n{n}/d{d}", m.label());
                 let st = engine.gir(&q, k, m).expect("gir").stats;

@@ -4,7 +4,7 @@
 //! perf_gate <baseline.json> <fresh.json> [--max-drop 0.25]
 //!           [--hit-rate-only] [--max-obs-overhead 0.05]
 //!           [--require-parallel-win] [--require-planner-win]
-//!           [--require-flat-recovery]
+//!           [--require-flat-recovery] [--require-cheap-mirror]
 //! ```
 //!
 //! Rows are matched on `(threads, n, mode, workload)`; for every match
@@ -63,6 +63,15 @@
 //! measured 2.5× from 100 to 400 batches. Both rows come from the same
 //! run on the same machine. A file with fewer than two WAL lengths
 //! fails.
+//!
+//! `--require-cheap-mirror` gates the decoded-tree mirror on a fresh
+//! `BENCH_cold_gir.json` (again passed as both positionals): every
+//! `mirror/nN/dD` row — one `TreeMirror::build` over the loaded tree —
+//! must cost at most 2× the same cell's `indexed_reuse/FP` row, a
+//! same-run ratio. The tree keeps its nodes decoded, so a mirror is one
+//! pointer copy per page; decoding every page again measured 15–84×.
+//! A file with no mirror rows, or a mirror row without its FP
+//! counterpart, fails.
 
 use std::process::ExitCode;
 
@@ -128,7 +137,8 @@ fn key(r: &Row) -> (u64, u64, &str, &str) {
 }
 
 /// One parsed `BENCH_cold_gir.json` row: bench id `path/METHOD/nN/dD`
-/// plus its mean latency.
+/// (or `path/nN/dD` for a per-tree row no method runs, with an empty
+/// method) plus its mean latency.
 #[derive(Debug, Clone)]
 struct ColdRow {
     path: String,
@@ -145,16 +155,17 @@ fn parse_cold_rows(body: &str) -> Vec<ColdRow> {
         .filter(|l| l.contains("\"bench\""))
         .filter_map(|l| {
             let id = str_field(l, "bench")?;
-            let mut parts = id.split('/');
-            let path = parts.next()?.to_string();
-            let method = parts.next()?.to_string();
-            let n = parts.next()?.strip_prefix('n')?.parse().ok()?;
-            let d = parts.next()?.strip_prefix('d')?.parse().ok()?;
+            let parts: Vec<&str> = id.split('/').collect();
+            let (path, method, n, d) = match parts.as_slice() {
+                [path, method, n, d] => (path, *method, n, d),
+                [path, n, d] => (path, "", n, d),
+                _ => return None,
+            };
             Some(ColdRow {
-                path,
-                method,
-                n,
-                d,
+                path: path.to_string(),
+                method: method.to_string(),
+                n: n.strip_prefix('n')?.parse().ok()?,
+                d: d.strip_prefix('d')?.parse().ok()?,
                 mean_ns: num_field(l, "mean_ns")?,
             })
         })
@@ -238,6 +249,41 @@ fn planner_gate(rows: &[ColdRow]) -> Vec<String> {
              policy inverts must be measured (set GIR_COLD_DS=2,3,4)"
                 .into(),
         );
+    }
+    failures
+}
+
+/// The `--require-cheap-mirror` check (see module docs): every mirror
+/// row at most 2× its cell's `indexed_reuse/FP` row.
+fn cheap_mirror_gate(rows: &[ColdRow]) -> Vec<String> {
+    const MAX_RATIO: f64 = 2.0;
+    let mirrors: Vec<&ColdRow> = rows.iter().filter(|r| r.path == "mirror").collect();
+    if mirrors.is_empty() {
+        return vec!["--require-cheap-mirror: no mirror/* rows in the fresh file".into()];
+    }
+    let mut failures = Vec::new();
+    for m in mirrors {
+        let cell = format!("n{}/d{}", m.n, m.d);
+        let Some(fp) = rows
+            .iter()
+            .find(|r| r.path == "indexed_reuse" && r.method == "FP" && r.n == m.n && r.d == m.d)
+        else {
+            failures.push(format!("{cell}: mirror row has no indexed_reuse/FP row"));
+            continue;
+        };
+        let ratio = m.mean_ns / fp.mean_ns.max(1e-9);
+        println!(
+            "  mirror {cell}: {:.0} ns vs indexed_reuse/FP {:.0} ns ({ratio:.2}x, limit \
+             {MAX_RATIO:.1}x)",
+            m.mean_ns, fp.mean_ns
+        );
+        if ratio > MAX_RATIO {
+            failures.push(format!(
+                "{cell}: mirror build {:.0} ns is {ratio:.2}x indexed_reuse/FP {:.0} ns, above \
+                 {MAX_RATIO:.1}x: the mirror is decoding pages again",
+                m.mean_ns, fp.mean_ns
+            ));
+        }
     }
     failures
 }
@@ -328,6 +374,9 @@ struct GateConfig {
     /// Require recovery time to stay flat in the WAL length (fresh
     /// file is a `BENCH_recovery.json`).
     require_flat_recovery: bool,
+    /// Require the tree mirror to cost no more than 2× a reused FP
+    /// miss (fresh file is a `BENCH_cold_gir.json`).
+    require_cheap_mirror: bool,
     /// Cores visible to the gate process (injected so tests can pin
     /// it); the parallel-win check is skipped below 2 and demands the
     /// full 2× only at 4+.
@@ -518,6 +567,7 @@ fn main() -> ExitCode {
         require_parallel_win: false,
         require_planner_win: false,
         require_flat_recovery: false,
+        require_cheap_mirror: false,
         parallel_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -535,6 +585,7 @@ fn main() -> ExitCode {
             "--require-parallel-win" => cfg.require_parallel_win = true,
             "--require-planner-win" => cfg.require_planner_win = true,
             "--require-flat-recovery" => cfg.require_flat_recovery = true,
+            "--require-cheap-mirror" => cfg.require_cheap_mirror = true,
             "--max-obs-overhead" => {
                 cfg.max_obs_overhead = Some(
                     it.next()
@@ -550,7 +601,7 @@ fn main() -> ExitCode {
             "usage: perf_gate <baseline.json> <fresh.json> [--max-drop 0.25] \
              [--hit-rate-only] [--max-obs-overhead 0.05] \
              [--require-parallel-win] [--require-planner-win] \
-             [--require-flat-recovery]"
+             [--require-flat-recovery] [--require-cheap-mirror]"
         );
         return ExitCode::from(2);
     };
@@ -580,6 +631,9 @@ fn main() -> ExitCode {
     if cfg.require_flat_recovery {
         println!("  (+ flat recovery over the fresh recovery rows)");
     }
+    if cfg.require_cheap_mirror {
+        println!("  (+ cheap mirror over the fresh cold-gir rows)");
+    }
 
     let mut failures = gate(&baseline, &fresh, &cfg);
     if cfg.require_planner_win {
@@ -587,6 +641,9 @@ fn main() -> ExitCode {
     }
     if cfg.require_flat_recovery {
         failures.extend(flat_recovery_gate(&parse_recovery_rows(&read(fresh_path))));
+    }
+    if cfg.require_cheap_mirror {
+        failures.extend(cheap_mirror_gate(&parse_cold_rows(&read(fresh_path))));
     }
     if failures.is_empty() {
         println!("perf gate: PASS");
@@ -615,6 +672,7 @@ mod tests {
             require_parallel_win: false,
             require_planner_win: false,
             require_flat_recovery: false,
+            require_cheap_mirror: false,
             parallel_cores: 1,
         }
     }
@@ -849,6 +907,14 @@ mod tests {
         assert_eq!(rows[0].method, "FP");
         assert_eq!((rows[0].n, rows[0].d), (2000, 3));
         assert!((rows[0].mean_ns - 5400.0).abs() < 1e-9);
+        // Per-tree rows carry no method.
+        let rows = parse_cold_rows(r#"[{"bench":"mirror/n8000/d3","mean_ns":5100}]"#);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (rows[0].path.as_str(), rows[0].method.as_str()),
+            ("mirror", "")
+        );
+        assert_eq!((rows[0].n, rows[0].d), (8000, 3));
         // Serve rows (no bench id) and malformed ids are skipped.
         assert!(parse_cold_rows(DELTA).is_empty());
         assert!(parse_cold_rows(r#"{"bench":"cold/SP","mean_ns":1}"#).is_empty());
@@ -908,5 +974,34 @@ mod tests {
         assert_eq!(flat_recovery_gate(&file(&[])).len(), 1);
         assert_eq!(flat_recovery_gate(&file(&[(400, 3.7)])).len(), 1);
         assert!(parse_recovery_rows(DELTA).is_empty());
+    }
+
+    #[test]
+    fn cheap_mirror_requirement() {
+        let file = |mirror_d3: f64| {
+            parse_cold_rows(&format!(
+                r#"[
+  {{"bench":"mirror/n8000/d2","mean_ns":4200}},
+  {{"bench":"indexed_reuse/FP/n8000/d2","mean_ns":3178}},
+  {{"bench":"mirror/n8000/d3","mean_ns":{mirror_d3:.0}}},
+  {{"bench":"indexed_reuse/FP/n8000/d3","mean_ns":3751}},
+  {{"bench":"indexed_reuse/SP/n8000/d3","mean_ns":300}}
+]"#
+            ))
+        };
+        // Shared decoded nodes: a few µs per mirror, inside 2x.
+        assert!(cheap_mirror_gate(&file(5_100.0)).is_empty());
+        // Exactly 2x passes.
+        assert!(cheap_mirror_gate(&file(7_502.0)).is_empty());
+        // Decoding every page again (the byte-only tree measured
+        // 290 µs here): fails, and only that cell does.
+        let failures = cheap_mirror_gate(&file(290_558.0));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("n8000/d3"));
+        // The gate never passes by omission: no mirror rows, or a
+        // mirror row without its FP counterpart.
+        assert_eq!(cheap_mirror_gate(&parse_cold_rows(DELTA)).len(), 1);
+        let orphan = parse_cold_rows(r#"{"bench":"mirror/n2000/d4","mean_ns":10}"#);
+        assert_eq!(cheap_mirror_gate(&orphan).len(), 1);
     }
 }

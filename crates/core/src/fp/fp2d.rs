@@ -150,16 +150,16 @@ pub fn fp_phase2_2d_ctx(
             }
         }
         nodes_examined += 1;
-        match tree.read_node(page)?.entries {
+        match &tree.read_node(page)?.entries {
             NodeEntries::Internal(children) => {
                 for (child_mbb, child) in children {
-                    if bounds.prunes_mbb(&child_mbb) {
+                    if bounds.prunes_mbb(child_mbb) {
                         nodes_pruned += 1;
                     } else {
                         stack.push(HeapEntry::Node {
-                            page: child,
+                            page: *child,
                             maxscore: 0.0,
-                            mbb: Some(child_mbb),
+                            mbb: Some(child_mbb.clone()),
                         });
                     }
                 }
@@ -167,7 +167,7 @@ pub fn fp_phase2_2d_ctx(
             NodeEntries::Leaf(records) => {
                 for rec in records {
                     if rec.id != kth.id && !ctx.skips(rec.id) {
-                        bounds.update(&rec);
+                        bounds.update(rec);
                     }
                 }
             }

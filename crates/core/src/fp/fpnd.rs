@@ -199,19 +199,19 @@ pub fn fp_phase2_nd_ctx(
             }
         }
         nodes_examined += 1;
-        match tree.read_node(page)?.entries {
+        match &tree.read_node(page)?.entries {
             NodeEntries::Internal(children) => {
                 for (child_mbb, child) in children {
                     if opts.prune_nodes
-                        && (star.prunes_mbb(&child_mbb)
-                            || pruner.as_mut().is_some_and(|p| p.prunes_mbb(&child_mbb)))
+                        && (star.prunes_mbb(child_mbb)
+                            || pruner.as_mut().is_some_and(|p| p.prunes_mbb(child_mbb)))
                     {
                         nodes_pruned += 1;
                     } else {
                         stack.push(HeapEntry::Node {
-                            page: child,
+                            page: *child,
                             maxscore: 0.0,
-                            mbb: Some(child_mbb),
+                            mbb: Some(child_mbb.clone()),
                         });
                     }
                 }

@@ -286,16 +286,16 @@ fn fp_star_phase2(
             }
         }
         nodes_examined += 1;
-        match tree.read_node(page)?.entries {
+        match &tree.read_node(page)?.entries {
             NodeEntries::Internal(children) => {
                 for (child_mbb, child) in children {
-                    if fan.prunes_mbb(&child_mbb) {
+                    if fan.prunes_mbb(child_mbb) {
                         nodes_pruned += 1;
                     } else {
                         stack.push(HeapEntry::Node {
-                            page: child,
+                            page: *child,
                             maxscore: 0.0,
-                            mbb: Some(child_mbb),
+                            mbb: Some(child_mbb.clone()),
                         });
                     }
                 }

@@ -1,17 +1,16 @@
-//! A decoded R\*-tree mirror: the cached descent state of the cold-miss
-//! fast path.
+//! An immutable R\*-tree mirror: the cached descent state of the
+//! cold-miss fast path.
 //!
-//! Every cold miss used to re-pay page fetches *and decodes* for the
-//! same tree nodes: BRS descends from the root, Phase 2 sweeps the
-//! retained frontier, and each visited page is deserialized into fresh
-//! heap allocations. The tree's structure is query-independent, so the
-//! [`crate::prune::PruneIndex`] caches it decoded once per dataset
-//! version: [`TreeMirror`] holds every node (child MBBs + page ids for
-//! internal nodes, records for leaves) in plain vectors, and the miss
-//! path traverses it with zero storage I/O and zero per-node
-//! allocation. Updates invalidate the mirror (the R\* insert/delete
-//! restructuring is not worth patching incrementally); the next miss
-//! rebuilds it lazily, amortized across the batch it serves.
+//! A miss through the live tree pays a logical page fetch per node it
+//! opens. The tree's structure is query-independent, so the
+//! [`crate::prune::PruneIndex`] caches one [`TreeMirror`] per dataset
+//! version: the tree's decoded nodes (`Arc<Node>`, shared with the
+//! tree, which keeps every node decoded), indexed by page id, which
+//! the miss path traverses with zero storage I/O and zero per-node
+//! allocation. An update invalidates the mirror; the tree copies each
+//! node the mirror still shares on its update path once, and the next
+//! miss rebuilds the mirror lazily as one pointer copy per reachable
+//! page.
 //!
 //! [`TreeMirror::topk`] is BRS over the mirror — identical traversal
 //! order and tie-breaking to `gir_query::brs_topk` (the equivalence
@@ -26,34 +25,27 @@ use gir_geometry::dominance::dominates;
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_query::{ScoringFunction, TopKResult};
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError, Record};
+use gir_rtree::{Mbb, Node, NodeEntries, RTree, RTreeError, Record};
 use gir_storage::PageId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-/// One decoded node of the mirrored tree.
-#[derive(Debug, Clone)]
-pub enum MirrorNode {
-    /// Child MBBs and page ids.
-    Internal(Vec<(Mbb, PageId)>),
-    /// Leaf records.
-    Leaf(Vec<Record>),
-}
-
-/// A fully decoded, immutable snapshot of an R\*-tree (see module docs).
+/// An immutable snapshot of an R\*-tree's nodes (see module docs).
 #[derive(Debug, Clone)]
 pub struct TreeMirror {
     d: usize,
     root: PageId,
     /// Dense by page id (the paged store allocates sequentially).
-    nodes: Vec<Option<MirrorNode>>,
+    nodes: Vec<Option<Arc<Node>>>,
     records: u64,
 }
 
 impl TreeMirror {
-    /// Decodes every reachable node of `tree`.
+    /// Shares every reachable node of `tree`, one logical page fetch
+    /// per node.
     pub fn build(tree: &RTree) -> Result<TreeMirror, RTreeError> {
-        let mut nodes: Vec<Option<MirrorNode>> = Vec::new();
+        let mut nodes: Vec<Option<Arc<Node>>> = Vec::new();
         let mut records = 0u64;
         let mut stack = vec![tree.root_page()];
         while let Some(page) = stack.pop() {
@@ -61,17 +53,14 @@ impl TreeMirror {
             if nodes.len() <= idx {
                 nodes.resize_with(idx + 1, || None);
             }
-            let decoded = match tree.read_node(page)?.entries {
+            let node = tree.read_node(page)?;
+            match &node.entries {
                 NodeEntries::Internal(children) => {
                     stack.extend(children.iter().map(|(_, c)| *c));
-                    MirrorNode::Internal(children)
                 }
-                NodeEntries::Leaf(recs) => {
-                    records += recs.len() as u64;
-                    MirrorNode::Leaf(recs)
-                }
-            };
-            nodes[idx] = Some(decoded);
+                NodeEntries::Leaf(recs) => records += recs.len() as u64,
+            }
+            nodes[idx] = Some(node);
         }
         Ok(TreeMirror {
             d: tree.dim(),
@@ -96,17 +85,19 @@ impl TreeMirror {
         self.records
     }
 
-    /// The decoded node at `page`.
+    /// The entries of the node at `page`.
     ///
     /// # Panics
     /// When `page` was not reachable at build time — a stale mirror,
     /// i.e. a caller that mutated the tree without invalidating the
     /// prune index.
-    pub fn node(&self, page: PageId) -> &MirrorNode {
-        self.nodes
+    pub fn node(&self, page: PageId) -> &NodeEntries {
+        &self
+            .nodes
             .get(page as usize)
             .and_then(|n| n.as_ref())
             .expect("stale tree mirror: updates must invalidate the prune index")
+            .entries
     }
 
     /// BRS top-k over the mirror: identical result (including
@@ -139,7 +130,7 @@ impl TreeMirror {
                     }
                 }
                 FrontierEntry::Node { page, .. } => match self.node(page) {
-                    MirrorNode::Internal(children) => {
+                    NodeEntries::Internal(children) => {
                         nodes_visited += 1;
                         for (mbb, child) in children {
                             heap.push(FrontierEntry::Node {
@@ -149,7 +140,7 @@ impl TreeMirror {
                             });
                         }
                     }
-                    MirrorNode::Leaf(records) => {
+                    NodeEntries::Leaf(records) => {
                         nodes_visited += 1;
                         leaves_scanned += records.len() as u64;
                         for rec in records {
@@ -291,14 +282,14 @@ pub fn fp_sweep_mirror(
             }
         }
         match mirror.node(page) {
-            MirrorNode::Internal(children) => {
+            NodeEntries::Internal(children) => {
                 for (child_mbb, child) in children {
                     if !star.prunes_mbb(child_mbb) {
                         stack.push((Some(child_mbb), *child));
                     }
                 }
             }
-            MirrorNode::Leaf(records) => {
+            NodeEntries::Leaf(records) => {
                 for rec in records {
                     if rec.id != kth.id
                         && !exclude.contains(&rec.id)

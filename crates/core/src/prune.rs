@@ -16,9 +16,10 @@
 //! * the **convex hull of the skyline** (the CP §5.2 pruning structure)
 //!   is derived lazily per index version and reused verbatim whenever
 //!   the query's result does not intersect the skyline;
-//! * the **decoded tree** ([`TreeMirror`]) is cached per dataset
-//!   version, so BRS and the Phase-2 sweeps of a miss traverse plain
-//!   in-memory vectors — no page I/O, no per-node deserialization.
+//! * the **tree mirror** ([`TreeMirror`]) shares the tree's decoded
+//!   nodes per dataset version, so BRS and the Phase-2 sweeps of a miss
+//!   traverse plain in-memory vectors — no page I/O, no
+//!   deserialization.
 //!
 //! Per query, `skyline(D \ R)` is derived from the shared skyline in
 //! time proportional to `|R ∩ skyline|`: result members are masked out
@@ -44,7 +45,7 @@
 //! updates, and that GIRs served through it match the no-index oracle.
 
 use crate::engine::Method;
-use crate::mirror::{Frontier, FrontierEntry, MirrorNode, TreeMirror};
+use crate::mirror::{Frontier, FrontierEntry, TreeMirror};
 use crate::region::RegionKind;
 use gir_geometry::dominance::{dominates, SkylineSet};
 use gir_geometry::hull::ConvexHull;
@@ -342,32 +343,18 @@ impl PruneState {
     }
 }
 
-/// Node access for the promotion walk: the live tree (decode per node)
-/// or the cached mirror (borrow).
+/// Node access for the promotion walk: the live tree (one logical page
+/// fetch per node) or the cached mirror (no I/O).
 enum NodeAccess<'a> {
     Tree(&'a RTree),
     Mirror(&'a TreeMirror),
 }
 
-enum EntriesRef<'a> {
-    Internal(&'a [(Mbb, PageId)]),
-    Leaf(&'a [Record]),
-}
-
 impl NodeAccess<'_> {
-    fn visit<R>(&self, page: PageId, f: impl FnOnce(EntriesRef<'_>) -> R) -> Result<R, RTreeError> {
+    fn visit<R>(&self, page: PageId, f: impl FnOnce(&NodeEntries) -> R) -> Result<R, RTreeError> {
         match self {
-            NodeAccess::Tree(tree) => {
-                let node = tree.read_node(page)?;
-                Ok(match &node.entries {
-                    NodeEntries::Internal(v) => f(EntriesRef::Internal(v)),
-                    NodeEntries::Leaf(v) => f(EntriesRef::Leaf(v)),
-                })
-            }
-            NodeAccess::Mirror(mirror) => Ok(match mirror.node(page) {
-                MirrorNode::Internal(v) => f(EntriesRef::Internal(v)),
-                MirrorNode::Leaf(v) => f(EntriesRef::Leaf(v)),
-            }),
+            NodeAccess::Tree(tree) => Ok(f(&tree.read_node(page)?.entries)),
+            NodeAccess::Mirror(mirror) => Ok(f(mirror.node(page))),
         }
     }
 }
@@ -444,10 +431,10 @@ fn promote_walk(
             }
         }
         access.visit(page, |entries| match entries {
-            EntriesRef::Internal(cs) => {
+            NodeEntries::Internal(cs) => {
                 children.extend(cs.iter().map(|(m, c)| (Some(m.clone()), *c)));
             }
-            EntriesRef::Leaf(recs) => {
+            NodeEntries::Leaf(recs) => {
                 for rec in recs {
                     consider_record(rec, pivots, blocks, except, promoted, seen);
                 }

@@ -45,14 +45,14 @@
 use crate::engine::{GirError, GirOutput, GirStats, Method};
 use crate::fullscan::fullscan_phase2;
 use crate::gir_star::{reduced_result, StarFan, StarMethod};
-use crate::mirror::{fp_sweep_mirror, Frontier, FrontierEntry, MirrorNode, TreeMirror};
+use crate::mirror::{fp_sweep_mirror, Frontier, FrontierEntry, TreeMirror};
 use crate::phase1::ordering_halfspaces;
 use crate::prune::{PruneIndex, PruneState};
 use crate::region::{GirRegion, RegionKind};
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_query::{QueryVector, Record, ScoringFunction, TopKResult};
-use gir_rtree::{Mbb, RTree};
+use gir_rtree::{Mbb, NodeEntries, RTree};
 use gir_storage::PageId;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -760,14 +760,14 @@ fn fp_star_sweep_mirror(
             }
         }
         match mirror.node(page) {
-            MirrorNode::Internal(children) => {
+            NodeEntries::Internal(children) => {
                 for (child_mbb, child) in children {
                     if !fan.prunes_mbb(child_mbb) {
                         stack.push((Some(child_mbb), *child));
                     }
                 }
             }
-            MirrorNode::Leaf(records) => {
+            NodeEntries::Leaf(records) => {
                 for rec in records {
                     if !exclude.contains(&rec.id) {
                         fan.feed(&rec.attrs, rec.id);

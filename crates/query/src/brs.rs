@@ -169,15 +169,14 @@ pub fn brs_topk(
                 }
             }
             HeapEntry::Node { page, .. } => {
-                let node = tree.read_node(page)?;
-                match node.entries {
+                match &tree.read_node(page)?.entries {
                     NodeEntries::Internal(children) => {
                         for (mbb, child) in children {
-                            let maxscore = scoring.maxscore(weights, &mbb);
+                            let maxscore = scoring.maxscore(weights, mbb);
                             heap.push(HeapEntry::Node {
-                                page: child,
+                                page: *child,
                                 maxscore,
-                                mbb: Some(mbb),
+                                mbb: Some(mbb.clone()),
                             });
                         }
                     }
@@ -185,9 +184,12 @@ pub fn brs_topk(
                         leaf_pages_read += 1;
                         // One fused scoring pass over the leaf's records
                         // (columnar multiply-add for linear scoring).
-                        scoring.scores_into(weights, &records, &mut scores);
-                        for (record, &score) in records.into_iter().zip(scores.iter()) {
-                            heap.push(HeapEntry::Rec { record, score });
+                        scoring.scores_into(weights, records, &mut scores);
+                        for (record, &score) in records.iter().zip(scores.iter()) {
+                            heap.push(HeapEntry::Rec {
+                                record: record.clone(),
+                                score,
+                            });
                         }
                     }
                 }

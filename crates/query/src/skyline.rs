@@ -42,8 +42,7 @@ pub fn bbs_skyline(
                         continue;
                     }
                 }
-                let node = tree.read_node(page)?;
-                match node.entries {
+                match &tree.read_node(page)?.entries {
                     NodeEntries::Internal(children) => {
                         for (child_mbb, child) in children {
                             if !sky.dominated(child_mbb.top_corner()) {
@@ -52,9 +51,9 @@ pub fn bbs_skyline(
                                 // preference, which is all BBS needs.
                                 let maxscore = child_mbb.top_corner().coords().iter().sum();
                                 state.heap.push(HeapEntry::Node {
-                                    page: child,
+                                    page: *child,
                                     maxscore,
-                                    mbb: Some(child_mbb),
+                                    mbb: Some(child_mbb.clone()),
                                 });
                             }
                         }
@@ -64,8 +63,7 @@ pub fn bbs_skyline(
                             if result_ids.contains(&record.id) || sky.dominated(&record.attrs) {
                                 continue;
                             }
-                            let attrs = record.attrs.clone();
-                            sky.insert(attrs, record);
+                            sky.insert(record.attrs.clone(), record.clone());
                         }
                     }
                 }

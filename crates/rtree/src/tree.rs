@@ -7,6 +7,13 @@
 //! insertion at that scale. Dynamic insertion implements the full R\*
 //! algorithm [Beckmann et al. 1990] and is cross-checked against bulk
 //! loading in tests.
+//!
+//! The tree is memory-resident in decoded form (the paper's §3.3
+//! in-memory scenario): every page write also keeps the node it encoded,
+//! shared as an `Arc<Node>`, so a node access never parses a page.
+//! Accesses still go through [`PageStore::read_page`], which keeps the
+//! logical I/O counts — and injected read faults — exactly those of a
+//! tree that decodes every page it touches.
 
 use crate::mbb::Mbb;
 use crate::node::{Node, NodeEntries};
@@ -68,6 +75,11 @@ impl Entry {
 /// An R\*-tree over a shared page store.
 pub struct RTree {
     store: Arc<dyn PageStore>,
+    /// The decoded node of every reachable page, by page id, written
+    /// through on every page write (see module docs). `None` for pages
+    /// the tree no longer reaches, and for a page whose last write
+    /// failed (a read then decodes whatever the store kept).
+    nodes: Vec<Option<Arc<Node>>>,
     root: PageId,
     dim: usize,
     /// Leaf level is 0; the root sits at `height - 1`.
@@ -83,14 +95,16 @@ impl RTree {
             "supported dimensionality is 1..=16"
         );
         let root = store.allocate();
-        store.write_page(root, Node::leaf(dim).encode())?;
-        Ok(RTree {
+        let mut tree = RTree {
             store,
+            nodes: Vec::new(),
             root,
             dim,
             height: 1,
             len: 0,
-        })
+        };
+        tree.put(root, Node::leaf(dim))?;
+        Ok(tree)
     }
 
     /// Number of records.
@@ -123,9 +137,48 @@ impl RTree {
         &self.store
     }
 
-    /// Reads and decodes a node, counting one logical page fetch.
-    pub fn read_node(&self, id: PageId) -> Result<Node, RTreeError> {
-        Ok(Node::decode(&self.store.read_page(id)?))
+    /// Reads a node, counting one logical page fetch. Returns the
+    /// tree's decoded node, shared, without parsing the page.
+    pub fn read_node(&self, id: PageId) -> Result<Arc<Node>, RTreeError> {
+        let page = self.store.read_page(id)?;
+        Ok(match self.nodes.get(id as usize) {
+            Some(Some(node)) => Arc::clone(node),
+            _ => Arc::new(Node::decode(&page)),
+        })
+    }
+
+    /// [`RTree::read_node`] for the update paths: counts the same page
+    /// fetch and makes sure the tree holds the decoded node.
+    fn fetch(&mut self, id: PageId) -> Result<&Node, RTreeError> {
+        let page = self.store.read_page(id)?;
+        Ok(slot(&mut self.nodes, id).get_or_insert_with(|| Arc::new(Node::decode(&page))))
+    }
+
+    /// The held node at `id`, for mutation in place. A node a reader
+    /// (a `TreeMirror`) still shares is copied here once; the tree's
+    /// copy is then unshared, so later mutations do not copy again.
+    fn node_mut(&mut self, id: PageId) -> &mut Node {
+        Arc::make_mut(
+            self.nodes[id as usize]
+                .as_mut()
+                .expect("node fetched before mutation"),
+        )
+    }
+
+    /// Writes the held node at `id` through to its page.
+    fn flush(&mut self, id: PageId) -> Result<(), RTreeError> {
+        let held = self.nodes[id as usize].as_ref().expect("node held");
+        if let Err(e) = self.store.write_page(id, held.encode()) {
+            self.nodes[id as usize] = None;
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
+    /// Holds `node` at `id` and writes it through.
+    fn put(&mut self, id: PageId, node: Node) -> Result<(), RTreeError> {
+        *slot(&mut self.nodes, id) = Some(Arc::new(node));
+        self.flush(id)
     }
 
     /// MBB of the whole tree (one page fetch).
@@ -176,7 +229,7 @@ impl RTree {
                     v.push((old_root_mbb, root));
                     v.push((sib_mbb, sib_page));
                 }
-                self.store.write_page(new_root, node.encode())?;
+                self.put(new_root, node)?;
                 self.root = new_root;
                 self.height += 1;
                 reinserted_levels.resize(self.height as usize + 1, false);
@@ -192,8 +245,8 @@ impl RTree {
     /// Deletes the record with the given id and attribute point. Returns
     /// `false` when no such record exists. Underfull nodes are dissolved
     /// and their entries reinserted (Guttman's CondenseTree); a root left
-    /// with a single child is collapsed. Orphaned pages are not recycled
-    /// (the store has no free list).
+    /// with a single child is collapsed. An orphaned page releases its
+    /// decoded node but is not recycled (the store has no free list).
     pub fn delete(&mut self, id: u64, attrs: &PointD) -> Result<bool, RTreeError> {
         if attrs.dim() != self.dim {
             return Err(RTreeError::DimensionMismatch {
@@ -216,6 +269,7 @@ impl RTree {
             let node = self.read_node(self.root)?;
             match &node.entries {
                 NodeEntries::Internal(v) if v.len() == 1 => {
+                    self.nodes[self.root as usize] = None;
                     self.root = v[0].1;
                     self.height -= 1;
                 }
@@ -236,25 +290,16 @@ impl RTree {
         attrs: &PointD,
         orphans: &mut Vec<(Entry, u32)>,
     ) -> Result<(bool, Option<Mbb>), RTreeError> {
-        let mut node = self.read_node(page)?;
-        let min = Node::min_fill(node.capacity());
         let is_root = page == self.root;
-        match &mut node.entries {
+        let node = self.fetch(page)?;
+        let min = Node::min_fill(node.capacity());
+        match &node.entries {
             NodeEntries::Leaf(recs) => {
                 let Some(pos) = recs.iter().position(|r| r.id == id && r.attrs == *attrs) else {
                     return Ok((false, None));
                 };
-                recs.remove(pos);
-                if is_root || node.len() >= min {
-                    let mbb = node.mbb();
-                    self.store.write_page(page, node.encode())?;
-                    Ok((true, Some(mbb)))
-                } else {
-                    let NodeEntries::Leaf(recs) = node.entries else {
-                        unreachable!()
-                    };
-                    orphans.extend(recs.into_iter().map(|r| (Entry::Record(r), 0)));
-                    Ok((true, None))
+                if let NodeEntries::Leaf(recs) = &mut self.node_mut(page).entries {
+                    recs.remove(pos);
                 }
             }
             NodeEntries::Internal(children) => {
@@ -277,34 +322,39 @@ impl RTree {
                 let Some((idx, outcome)) = hit else {
                     return Ok((false, None));
                 };
-                let NodeEntries::Internal(children) = &mut node.entries else {
-                    unreachable!()
-                };
-                match outcome {
-                    Some(mbb) => children[idx].0 = mbb,
-                    None => {
-                        children.remove(idx);
+                if let NodeEntries::Internal(children) = &mut self.node_mut(page).entries {
+                    match outcome {
+                        Some(mbb) => children[idx].0 = mbb,
+                        None => {
+                            children.remove(idx);
+                        }
                     }
-                }
-                if is_root || node.len() >= min {
-                    let mbb = node.mbb();
-                    self.store.write_page(page, node.encode())?;
-                    Ok((true, Some(mbb)))
-                } else {
-                    let NodeEntries::Internal(children) = node.entries else {
-                        unreachable!()
-                    };
-                    // Surviving subtrees live at page_level - 1; a new
-                    // holder must sit at page_level.
-                    orphans.extend(
-                        children
-                            .into_iter()
-                            .map(|(m, c)| (Entry::Child(m, c), page_level)),
-                    );
-                    Ok((true, None))
                 }
             }
         }
+        let node = self.node_mut(page);
+        if is_root || node.len() >= min {
+            let mbb = node.mbb();
+            self.flush(page)?;
+            return Ok((true, Some(mbb)));
+        }
+        // Underflow: the node dissolves and its page is orphaned.
+        let node = self.nodes[page as usize].take().expect("node held");
+        match Arc::unwrap_or_clone(node).entries {
+            NodeEntries::Leaf(recs) => {
+                orphans.extend(recs.into_iter().map(|r| (Entry::Record(r), 0)));
+            }
+            NodeEntries::Internal(children) => {
+                // Surviving subtrees live at page_level - 1; a new
+                // holder must sit at page_level.
+                orphans.extend(
+                    children
+                        .into_iter()
+                        .map(|(m, c)| (Entry::Child(m, c), page_level)),
+                );
+            }
+        }
+        Ok((true, None))
     }
 
     /// Recursive insert of `entry` (which lives at `target_level`) into the
@@ -320,15 +370,15 @@ impl RTree {
         reinserted: &mut Vec<bool>,
         pending: &mut Vec<(Entry, u32)>,
     ) -> Result<(Mbb, Option<(Mbb, PageId)>), RTreeError> {
-        let mut node = self.read_node(page)?;
+        let node = self.fetch(page)?;
         if page_level == target_level {
-            match (&mut node.entries, entry) {
+            match (&mut self.node_mut(page).entries, entry) {
                 (NodeEntries::Leaf(v), Entry::Record(r)) => v.push(r),
                 (NodeEntries::Internal(v), Entry::Child(m, p)) => v.push((m, p)),
                 _ => unreachable!("entry kind matches level by construction"),
             }
         } else {
-            let NodeEntries::Internal(children) = &mut node.entries else {
+            let NodeEntries::Internal(children) = &node.entries else {
                 unreachable!("non-leaf levels are internal");
             };
             let idx = choose_subtree(children, &entry.mbb(), page_level == target_level + 1);
@@ -341,15 +391,18 @@ impl RTree {
                 reinserted,
                 pending,
             )?;
-            children[idx].0 = child_mbb;
-            if let Some((sib_mbb, sib_page)) = split {
-                children.push((sib_mbb, sib_page));
+            if let NodeEntries::Internal(children) = &mut self.node_mut(page).entries {
+                children[idx].0 = child_mbb;
+                if let Some((sib_mbb, sib_page)) = split {
+                    children.push((sib_mbb, sib_page));
+                }
             }
         }
 
+        let node = self.node_mut(page);
         if node.len() <= node.capacity() {
             let mbb = node.mbb();
-            self.store.write_page(page, node.encode())?;
+            self.flush(page)?;
             return Ok((mbb, None));
         }
 
@@ -361,21 +414,22 @@ impl RTree {
             if lvl < reinserted.len() {
                 reinserted[lvl] = true;
             }
-            let removed = remove_for_reinsert(&mut node);
+            let node = self.node_mut(page);
+            let removed = remove_for_reinsert(node);
             let mbb = node.mbb();
-            self.store.write_page(page, node.encode())?;
+            self.flush(page)?;
             for e in removed {
                 pending.push((e, page_level));
             }
             return Ok((mbb, None));
         }
 
-        let (keep, sibling) = split_node(&node);
+        let (keep, sibling) = split_node(self.node_mut(page));
         let keep_mbb = keep.mbb();
         let sib_mbb = sibling.mbb();
         let sib_page = self.store.allocate();
-        self.store.write_page(page, keep.encode())?;
-        self.store.write_page(sib_page, sibling.encode())?;
+        self.put(page, keep)?;
+        self.put(sib_page, sibling)?;
         Ok((keep_mbb, Some((sib_mbb, sib_page))))
     }
 
@@ -416,6 +470,15 @@ impl RTree {
             });
         }
 
+        let mut tree = RTree {
+            store,
+            nodes: Vec::new(),
+            root: 0,
+            dim,
+            height: 1,
+            len: records.len() as u64,
+        };
+
         // Tile records into leaves.
         let leaf_cap = filled(Node::leaf_capacity(dim));
         let mut recs: Vec<&Record> = records.iter().collect();
@@ -430,15 +493,14 @@ impl RTree {
             if let NodeEntries::Leaf(v) = &mut node.entries {
                 v.extend(chunk.iter().map(|r| (*r).clone()));
             }
-            let page = store.allocate();
+            let page = tree.store.allocate();
             let mbb = node.mbb();
-            store.write_page(page, node.encode())?;
+            tree.put(page, node)?;
             level.push((mbb, page));
         }
 
         // Build internal levels bottom-up.
         let internal_cap = filled(Node::internal_capacity(dim));
-        let mut height = 1u32;
         while level.len() > 1 {
             let centers: Vec<PointD> = level.iter().map(|(m, _)| m.center()).collect();
             // Tile by MBB centers; borrow the precomputed centers by index.
@@ -454,23 +516,17 @@ impl RTree {
                 if let NodeEntries::Internal(v) = &mut node.entries {
                     v.extend(g.into_iter().map(|i| level[i].clone()));
                 }
-                let page = store.allocate();
+                let page = tree.store.allocate();
                 let mbb = node.mbb();
-                store.write_page(page, node.encode())?;
+                tree.put(page, node)?;
                 next.push((mbb, page));
             }
             level = next;
-            height += 1;
+            tree.height += 1;
         }
 
-        let root = level[0].1;
-        Ok(RTree {
-            store,
-            root,
-            dim,
-            height,
-            len: records.len() as u64,
-        })
+        tree.root = level[0].1;
+        Ok(tree)
     }
 
     // ------------------------------------------------------------------
@@ -482,19 +538,20 @@ impl RTree {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
-            match self.read_node(page)?.entries {
+            match &self.read_node(page)?.entries {
                 NodeEntries::Internal(children) => {
                     for (mbb, child) in children {
                         if mbb.intersects(window) {
-                            stack.push(child);
+                            stack.push(*child);
                         }
                     }
                 }
                 NodeEntries::Leaf(records) => {
                     out.extend(
                         records
-                            .into_iter()
-                            .filter(|r| window.contains_point(&r.attrs)),
+                            .iter()
+                            .filter(|r| window.contains_point(&r.attrs))
+                            .cloned(),
                     );
                 }
             }
@@ -510,6 +567,15 @@ impl RTree {
             hi: PointD::splat(d, f64::INFINITY),
         })
     }
+}
+
+/// The slot for page `id`, growing the table to reach it.
+fn slot(nodes: &mut Vec<Option<Arc<Node>>>, id: PageId) -> &mut Option<Arc<Node>> {
+    let idx = id as usize;
+    if nodes.len() <= idx {
+        nodes.resize_with(idx + 1, || None);
+    }
+    &mut nodes[idx]
 }
 
 /// R\* ChooseSubtree: minimal overlap enlargement when the children are
@@ -594,7 +660,6 @@ fn split_node(node: &Node) -> (Node, Node) {
     debug_assert!(n > cap, "split called on non-overflowing node");
 
     // For each axis, consider entries sorted by lo and by hi.
-    let mut best_axis = 0usize;
     let mut best_axis_margin = f64::INFINITY;
     let mut best_orders: Option<[Vec<usize>; 2]> = None;
     for axis in 0..dim {
@@ -620,11 +685,9 @@ fn split_node(node: &Node) -> (Node, Node) {
         }
         if margin_sum < best_axis_margin {
             best_axis_margin = margin_sum;
-            best_axis = axis;
             best_orders = Some([by_lo, by_hi]);
         }
     }
-    let _ = best_axis;
     let orders = best_orders.expect("dim >= 1");
 
     // Pick the distribution with minimal overlap, tie-break on area.
@@ -826,14 +889,14 @@ mod tests {
         let tree = RTree::bulk_load(store(), &recs).unwrap();
         let mut stack = vec![tree.root_page()];
         while let Some(page) = stack.pop() {
-            if let NodeEntries::Internal(children) = tree.read_node(page).unwrap().entries {
+            if let NodeEntries::Internal(children) = &tree.read_node(page).unwrap().entries {
                 for (mbb, child) in children {
-                    let child_mbb = tree.read_node(child).unwrap().mbb();
+                    let child_mbb = tree.read_node(*child).unwrap().mbb();
                     assert!(
                         mbb.contains_mbb(&child_mbb),
                         "entry MBB does not cover child"
                     );
-                    stack.push(child);
+                    stack.push(*child);
                 }
             }
         }
@@ -848,11 +911,11 @@ mod tests {
         }
         let mut stack = vec![tree.root_page()];
         while let Some(page) = stack.pop() {
-            if let NodeEntries::Internal(children) = tree.read_node(page).unwrap().entries {
+            if let NodeEntries::Internal(children) = &tree.read_node(page).unwrap().entries {
                 for (mbb, child) in children {
-                    let child_mbb = tree.read_node(child).unwrap().mbb();
+                    let child_mbb = tree.read_node(*child).unwrap().mbb();
                     assert!(mbb.contains_mbb(&child_mbb));
-                    stack.push(child);
+                    stack.push(*child);
                 }
             }
         }
@@ -943,12 +1006,12 @@ mod tests {
             if !is_root {
                 assert!(node.len() >= Node::min_fill(node.capacity()));
             }
-            if let NodeEntries::Internal(children) = node.entries {
+            if let NodeEntries::Internal(children) = &node.entries {
                 assert!(is_root || children.len() >= 2);
                 for (mbb, child) in children {
-                    let child_mbb = tree.read_node(child).unwrap().mbb();
+                    let child_mbb = tree.read_node(*child).unwrap().mbb();
                     assert!(mbb.contains_mbb(&child_mbb));
-                    stack.push((child, false));
+                    stack.push((*child, false));
                 }
             }
         }
@@ -1001,9 +1064,9 @@ mod tests {
                     node.len()
                 );
             }
-            if let NodeEntries::Internal(children) = node.entries {
+            if let NodeEntries::Internal(children) = &node.entries {
                 for (_, child) in children {
-                    stack.push((child, false));
+                    stack.push((*child, false));
                 }
             }
         }
@@ -1016,8 +1079,8 @@ mod tests {
         while let Some((page, is_root)) = stack.pop() {
             let node = tree.read_node(page).unwrap();
             out.push((is_root, node.len(), node.capacity()));
-            if let NodeEntries::Internal(children) = node.entries {
-                stack.extend(children.into_iter().map(|(_, c)| (c, false)));
+            if let NodeEntries::Internal(children) = &node.entries {
+                stack.extend(children.iter().map(|(_, c)| (*c, false)));
             }
         }
         out
@@ -1042,6 +1105,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Churns `tree` (inserts, deletes, then a mass delete that
+    /// dissolves nodes and collapses the root) while a reader holds the
+    /// loaded tree's nodes, then checks the decoded nodes against the
+    /// pages: every reachable page holds exactly its decoded image, no
+    /// other page holds a node, and the reader's nodes never changed.
+    fn check_decoded_nodes_after_churn(store: Arc<dyn PageStore>) {
+        let d = 2;
+        let recs = pseudo_records(1500, d, 31);
+        let mut tree = RTree::bulk_load_with_fill(Arc::clone(&store), &recs, 0.7).unwrap();
+        let held: Vec<(PageId, Arc<Node>, Node)> = (0..store.num_pages())
+            .filter_map(|p| {
+                let node = tree.nodes.get(p as usize)?.clone()?;
+                Some((p, node, Node::decode(&store.read_page(p).unwrap())))
+            })
+            .collect();
+        assert!(!held.is_empty());
+
+        let mut live = recs.clone();
+        for (i, r) in pseudo_records(1200, d, 32).into_iter().enumerate() {
+            let r = Record::new(10_000 + i as u64, r.attrs);
+            tree.insert(r.clone()).unwrap();
+            live.push(r);
+            if i % 3 != 0 {
+                let victim = live.swap_remove((i * 2654435761) % live.len());
+                assert!(tree.delete(victim.id, &victim.attrs).unwrap());
+            }
+        }
+        let height = tree.height();
+        while live.len() > 40 {
+            let victim = live.pop().unwrap();
+            assert!(tree.delete(victim.id, &victim.attrs).unwrap());
+        }
+        assert!(tree.height() < height, "the root never collapsed");
+
+        let mut reachable = vec![false; store.num_pages() as usize];
+        let mut stack = vec![tree.root_page()];
+        while let Some(page) = stack.pop() {
+            reachable[page as usize] = true;
+            let node = tree.nodes[page as usize]
+                .as_ref()
+                .unwrap_or_else(|| panic!("reachable page {page} holds no node"));
+            assert_eq!(**node, Node::decode(&store.read_page(page).unwrap()));
+            if let NodeEntries::Internal(children) = &node.entries {
+                stack.extend(children.iter().map(|(_, c)| *c));
+            }
+        }
+        for (page, node) in tree.nodes.iter().enumerate() {
+            assert!(
+                reachable.get(page).copied().unwrap_or(false) || node.is_none(),
+                "unreachable page {page} keeps its node"
+            );
+        }
+        for (page, node, decoded) in &held {
+            assert_eq!(**node, *decoded, "a reader's node {page} changed under it");
+        }
+        let mut all = tree.scan_all().unwrap();
+        all.sort_by_key(|r| r.id);
+        live.sort_by_key(|r| r.id);
+        assert_eq!(all, live);
+    }
+
+    #[test]
+    fn decoded_nodes_are_the_pages_after_churn() {
+        check_decoded_nodes_after_churn(store());
+        let path = std::env::temp_dir().join(format!("gir-rtree-churn-{}.db", std::process::id()));
+        let file = gir_storage::FilePageStore::create(&path).unwrap();
+        check_decoded_nodes_after_churn(Arc::new(file));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -41,11 +41,11 @@ fn check_invariants(tree: &RTree) {
                 "underfull non-root node"
             );
         }
-        if let NodeEntries::Internal(children) = node.entries {
+        if let NodeEntries::Internal(children) = &node.entries {
             for (mbb, child) in children {
-                let child_mbb = tree.read_node(child).unwrap().mbb();
+                let child_mbb = tree.read_node(*child).unwrap().mbb();
                 assert!(mbb.contains_mbb(&child_mbb), "entry MBB too small");
-                stack.push((child, false));
+                stack.push((*child, false));
             }
         }
     }
