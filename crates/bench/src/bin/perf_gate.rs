@@ -5,6 +5,7 @@
 //!           [--hit-rate-only] [--max-obs-overhead 0.05]
 //!           [--require-parallel-win] [--require-planner-win]
 //!           [--require-flat-recovery] [--require-cheap-mirror]
+//!           [--require-index-not-slower]
 //! ```
 //!
 //! Rows are matched on `(threads, n, mode, workload)`; for every match
@@ -72,8 +73,27 @@
 //! pointer copy per page; decoding every page again measured 15–84×.
 //! A file with no mirror rows, or a mirror row without its FP
 //! counterpart, fails.
+//!
+//! `--require-index-not-slower` gates the prune-index miss path on a
+//! fresh `BENCH_cold_gir.json` (again passed as both positionals): every
+//! `indexed_recompute/{SP,CP}/nN/dD` row must cost at most 1.05× the
+//! same cell's `cold` row plus the planner gate's 1.5 µs noise floor.
+//! Both paths run the same BBS resume; the indexed one reads its nodes
+//! from the decoded mirror, so it has no reason to lose. FP is not
+//! gated: its indexed Phase 2 is a different algorithm (a star sweep
+//! seeded from the cached skyline, without the footnote-7 LPs) from the
+//! cold one. A file with no SP/CP `indexed_recompute` rows, or such a
+//! row without its `cold` counterpart, fails.
 
 use std::process::ExitCode;
+
+/// Absolute timing-noise allowance on top of a same-run relative
+/// slack. The fast cells sit at 4–20 µs, where 10% is under a
+/// microsecond — below run-to-run scheduler jitter on shared CI
+/// hardware, so a purely relative limit flakes. The regressions these
+/// gates exist for miss by multiples, so a 1.5 µs floor keeps them
+/// honest while absorbing jitter.
+const NOISE_FLOOR_NS: f64 = 1_500.0;
 
 /// One parsed bench row.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,13 +199,6 @@ fn parse_cold_rows(body: &str) -> Vec<ColdRow> {
 fn planner_gate(rows: &[ColdRow]) -> Vec<String> {
     const STATIC_PATHS: [&str; 3] = ["cold", "indexed_recompute", "indexed_reuse"];
     const SLACK: f64 = 1.10;
-    /// Absolute timing-noise allowance on top of the relative slack.
-    /// The fast cells sit at 4–20 µs, where 10% is under a microsecond
-    /// — below run-to-run scheduler jitter on shared CI hardware, so a
-    /// purely relative limit flakes. A wrong-path planner misses by
-    /// multiples (the bug this gate exists for inverts cells by 2–40×),
-    /// so a 1.5 µs floor keeps the gate honest while absorbing jitter.
-    const NOISE_FLOOR_NS: f64 = 1_500.0;
     let mut failures = Vec::new();
     let planners: Vec<&ColdRow> = rows.iter().filter(|r| r.path == "planner").collect();
     if planners.is_empty() {
@@ -288,6 +301,48 @@ fn cheap_mirror_gate(rows: &[ColdRow]) -> Vec<String> {
     failures
 }
 
+/// The `--require-index-not-slower` check (see module docs): every
+/// `indexed_recompute` SP/CP row at most 1.05× its cell's `cold` row
+/// plus the noise floor.
+fn index_not_slower_gate(rows: &[ColdRow]) -> Vec<String> {
+    const SLACK: f64 = 1.05;
+    let indexed: Vec<&ColdRow> = rows
+        .iter()
+        .filter(|r| r.path == "indexed_recompute" && (r.method == "SP" || r.method == "CP"))
+        .collect();
+    if indexed.is_empty() {
+        return vec![
+            "--require-index-not-slower: no indexed_recompute SP/CP rows in the fresh file".into(),
+        ];
+    }
+    let mut failures = Vec::new();
+    for ix in indexed {
+        let cell = format!("{}/n{}/d{}", ix.method, ix.n, ix.d);
+        let Some(cold) = rows
+            .iter()
+            .find(|r| r.path == "cold" && r.method == ix.method && r.n == ix.n && r.d == ix.d)
+        else {
+            failures.push(format!("{cell}: indexed_recompute row has no cold row"));
+            continue;
+        };
+        let limit = SLACK * cold.mean_ns + NOISE_FLOOR_NS;
+        println!(
+            "  index {cell}: {:.0} ns vs cold {:.0} ns ({:.2}x, limit {limit:.0} ns)",
+            ix.mean_ns,
+            cold.mean_ns,
+            ix.mean_ns / cold.mean_ns.max(1e-9)
+        );
+        if ix.mean_ns > limit {
+            failures.push(format!(
+                "{cell}: indexed_recompute {:.0} ns above {SLACK:.2}x cold {:.0} ns \
+                 (+{NOISE_FLOOR_NS:.0} ns noise floor)",
+                ix.mean_ns, cold.mean_ns
+            ));
+        }
+    }
+    failures
+}
+
 /// One `"section":"recovery"` row of `BENCH_recovery.json`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RecoveryRow {
@@ -377,6 +432,9 @@ struct GateConfig {
     /// Require the tree mirror to cost no more than 2× a reused FP
     /// miss (fresh file is a `BENCH_cold_gir.json`).
     require_cheap_mirror: bool,
+    /// Require indexed SP/CP recompute to cost no more than the cold
+    /// path (fresh file is a `BENCH_cold_gir.json`).
+    require_index_not_slower: bool,
     /// Cores visible to the gate process (injected so tests can pin
     /// it); the parallel-win check is skipped below 2 and demands the
     /// full 2× only at 4+.
@@ -568,6 +626,7 @@ fn main() -> ExitCode {
         require_planner_win: false,
         require_flat_recovery: false,
         require_cheap_mirror: false,
+        require_index_not_slower: false,
         parallel_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -586,6 +645,7 @@ fn main() -> ExitCode {
             "--require-planner-win" => cfg.require_planner_win = true,
             "--require-flat-recovery" => cfg.require_flat_recovery = true,
             "--require-cheap-mirror" => cfg.require_cheap_mirror = true,
+            "--require-index-not-slower" => cfg.require_index_not_slower = true,
             "--max-obs-overhead" => {
                 cfg.max_obs_overhead = Some(
                     it.next()
@@ -601,7 +661,8 @@ fn main() -> ExitCode {
             "usage: perf_gate <baseline.json> <fresh.json> [--max-drop 0.25] \
              [--hit-rate-only] [--max-obs-overhead 0.05] \
              [--require-parallel-win] [--require-planner-win] \
-             [--require-flat-recovery] [--require-cheap-mirror]"
+             [--require-flat-recovery] [--require-cheap-mirror] \
+             [--require-index-not-slower]"
         );
         return ExitCode::from(2);
     };
@@ -634,6 +695,9 @@ fn main() -> ExitCode {
     if cfg.require_cheap_mirror {
         println!("  (+ cheap mirror over the fresh cold-gir rows)");
     }
+    if cfg.require_index_not_slower {
+        println!("  (+ index not slower than cold over the fresh cold-gir rows)");
+    }
 
     let mut failures = gate(&baseline, &fresh, &cfg);
     if cfg.require_planner_win {
@@ -644,6 +708,9 @@ fn main() -> ExitCode {
     }
     if cfg.require_cheap_mirror {
         failures.extend(cheap_mirror_gate(&parse_cold_rows(&read(fresh_path))));
+    }
+    if cfg.require_index_not_slower {
+        failures.extend(index_not_slower_gate(&parse_cold_rows(&read(fresh_path))));
     }
     if failures.is_empty() {
         println!("perf gate: PASS");
@@ -673,6 +740,7 @@ mod tests {
             require_planner_win: false,
             require_flat_recovery: false,
             require_cheap_mirror: false,
+            require_index_not_slower: false,
             parallel_cores: 1,
         }
     }
@@ -1003,5 +1071,93 @@ mod tests {
         assert_eq!(cheap_mirror_gate(&parse_cold_rows(DELTA)).len(), 1);
         let orphan = parse_cold_rows(r#"{"bench":"mirror/n2000/d4","mean_ns":10}"#);
         assert_eq!(cheap_mirror_gate(&orphan).len(), 1);
+    }
+
+    /// The SP/CP `cold` and `indexed_recompute` rows of the
+    /// `BENCH_cold_gir.json` measured before the indexed path ran BBS
+    /// over the mirror: the derived-skyline exclusion lost every cell.
+    const INDEX_SLOWER: &str = r#"[
+  {"bench":"cold/SP/n2000/d2","mean_ns":22167},
+  {"bench":"indexed_recompute/SP/n2000/d2","mean_ns":34950},
+  {"bench":"cold/CP/n2000/d2","mean_ns":29880},
+  {"bench":"indexed_recompute/CP/n2000/d2","mean_ns":43083},
+  {"bench":"cold/SP/n2000/d3","mean_ns":29859},
+  {"bench":"indexed_recompute/SP/n2000/d3","mean_ns":59510},
+  {"bench":"cold/CP/n2000/d3","mean_ns":90710},
+  {"bench":"indexed_recompute/CP/n2000/d3","mean_ns":129147},
+  {"bench":"cold/SP/n2000/d4","mean_ns":277753},
+  {"bench":"indexed_recompute/SP/n2000/d4","mean_ns":451431},
+  {"bench":"cold/CP/n2000/d4","mean_ns":1837356},
+  {"bench":"indexed_recompute/CP/n2000/d4","mean_ns":2039272},
+  {"bench":"cold/SP/n8000/d2","mean_ns":21665},
+  {"bench":"indexed_recompute/SP/n8000/d2","mean_ns":29365},
+  {"bench":"cold/CP/n8000/d2","mean_ns":29629},
+  {"bench":"indexed_recompute/CP/n8000/d2","mean_ns":39535},
+  {"bench":"cold/SP/n8000/d3","mean_ns":69169},
+  {"bench":"indexed_recompute/SP/n8000/d3","mean_ns":215416},
+  {"bench":"cold/CP/n8000/d3","mean_ns":205466},
+  {"bench":"indexed_recompute/CP/n8000/d3","mean_ns":365001},
+  {"bench":"cold/SP/n8000/d4","mean_ns":568869},
+  {"bench":"indexed_recompute/SP/n8000/d4","mean_ns":1583894},
+  {"bench":"cold/CP/n8000/d4","mean_ns":3007452},
+  {"bench":"indexed_recompute/CP/n8000/d4","mean_ns":3980777},
+]"#;
+
+    #[test]
+    fn index_not_slower_requirement() {
+        // The derived-skyline exclusion: slower than cold in 12 of 12
+        // cells.
+        let failures = index_not_slower_gate(&parse_cold_rows(INDEX_SLOWER));
+        assert_eq!(failures.len(), 12, "{failures:?}");
+
+        // Healthy: indexed below cold, one cell 4% above, one fast cell
+        // 10% above (inside 1.05x plus the noise floor); FP rows are
+        // not gated even when slower.
+        let healthy = cold_file(&[
+            (
+                "SP",
+                8000,
+                4,
+                &[("cold", 568_869.0), ("indexed_recompute", 540_000.0)],
+            ),
+            (
+                "CP",
+                8000,
+                4,
+                &[("cold", 3_007_452.0), ("indexed_recompute", 3_127_000.0)],
+            ),
+            (
+                "SP",
+                2000,
+                2,
+                &[("cold", 22_167.0), ("indexed_recompute", 24_450.0)],
+            ),
+            (
+                "FP",
+                8000,
+                4,
+                &[("cold", 300_000.0), ("indexed_recompute", 900_000.0)],
+            ),
+        ]);
+        assert!(index_not_slower_gate(&parse_cold_rows(&healthy)).is_empty());
+
+        // One cell 10% slower fails, alone.
+        let slow = healthy.replace(
+            r#""bench":"indexed_recompute/SP/n8000/d4","mean_ns":540000"#,
+            r#""bench":"indexed_recompute/SP/n8000/d4","mean_ns":625756"#,
+        );
+        let failures = index_not_slower_gate(&parse_cold_rows(&slow));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("SP/n8000/d4"));
+
+        // Never passes by omission: no SP/CP rows, or an orphan row.
+        let fp_only: String = healthy
+            .lines()
+            .filter(|l| !l.contains("/SP/") && !l.contains("/CP/"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(index_not_slower_gate(&parse_cold_rows(&fp_only)).len(), 1);
+        let orphan = parse_cold_rows(r#"{"bench":"indexed_recompute/CP/n2000/d3","mean_ns":10}"#);
+        assert_eq!(index_not_slower_gate(&orphan).len(), 1);
     }
 }

@@ -22,6 +22,7 @@ use crate::region::{GirRegion, RegionKind};
 use gir_geometry::hyperplane::HalfSpace;
 use gir_geometry::vector::PointD;
 use gir_query::{Record, ScoringFunction, TopKResult};
+use std::sync::Arc;
 
 /// What one cache access *is*: the query weights, the requested result
 /// size, the scoring function, and the region semantics. One value type
@@ -74,12 +75,38 @@ impl<'a> CacheKey<'a> {
     }
 }
 
+/// A cache hit: the top-`k` prefix of an entry's ranked result, shared
+/// with the entry rather than copied out of it.
+#[derive(Debug, Clone)]
+pub struct CachedRecords {
+    result: Arc<TopKResult>,
+    k: usize,
+}
+
+impl CachedRecords {
+    /// The records, best first.
+    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.result.ranked[..self.k].iter().map(|(r, _)| r)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.k
+    }
+
+    /// True when the hit holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.k == 0
+    }
+}
+
 /// One cached result with its immutable region, the scoring function it
 /// was computed under, and its region semantics ([`RegionKind`]).
 #[derive(Debug, Clone)]
 struct CacheEntry {
     region: GirRegion,
-    result: TopKResult,
+    /// Shared with every hit it answers.
+    result: Arc<TopKResult>,
     scoring: ScoringFunction,
     kind: RegionKind,
     /// `R⁻` with ranks, precomputed at admission for GIR\* entries
@@ -142,20 +169,18 @@ impl GirCache {
     }
 
     /// The (order-correct) top-`k` prefix of an entry's cached result.
-    fn prefix(e: &CacheEntry, k: usize) -> Vec<Record> {
-        e.result
-            .ranked
-            .iter()
-            .take(k)
-            .map(|(r, _)| r.clone())
-            .collect()
+    fn prefix(e: &CacheEntry, k: usize) -> CachedRecords {
+        CachedRecords {
+            result: Arc::clone(&e.result),
+            k: k.min(e.result.len()),
+        }
     }
 
     /// Looks the key up, counting the hit/miss and refreshing LRU
     /// order. For [`RegionKind::GirStar`] keys the returned records are
     /// the guaranteed top-`k` *set*; their order is the cached one and
     /// may differ from the live ranking.
-    pub fn get(&mut self, key: &CacheKey<'_>) -> Option<Vec<Record>> {
+    pub fn get(&mut self, key: &CacheKey<'_>) -> Option<CachedRecords> {
         match self.probe(key) {
             Some(out) => {
                 self.hits += 1;
@@ -174,7 +199,7 @@ impl GirCache {
     /// under a shared lock. The serving layer counts hits/misses itself
     /// and promotes hot entries opportunistically via
     /// [`GirCache::touch`].
-    pub fn probe(&self, key: &CacheKey<'_>) -> Option<Vec<Record>> {
+    pub fn probe(&self, key: &CacheKey<'_>) -> Option<CachedRecords> {
         self.entries
             .iter()
             .find(|e| Self::matches(e, key.weights, key.k, key.scoring, key.kind))
@@ -206,7 +231,7 @@ impl GirCache {
             0,
             CacheEntry {
                 region,
-                result,
+                result: Arc::new(result),
                 scoring: key.scoring.clone(),
                 kind,
                 r_minus,

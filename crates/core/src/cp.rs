@@ -17,13 +17,13 @@ use gir_geometry::hull::{ConvexHull, HullError};
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_query::{Record, ScoringFunction, SearchState};
-use gir_rtree::{RTree, RTreeError};
+use gir_rtree::{NodeSource, RTreeError};
 use std::collections::HashSet;
 
 /// CP Phase 2: half-spaces for skyline records that lie on the convex
-/// hull of the skyline.
-pub fn cp_phase2(
-    tree: &RTree,
+/// hull of the skyline (resumed from `state` over `src`).
+pub fn cp_phase2<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
@@ -33,7 +33,7 @@ pub fn cp_phase2(
         scoring.is_linear(),
         "CP relies on convex-hull properties that hold only for linear scoring (paper §7.2)"
     );
-    let sky = sp_skyline_records(tree, state, result_ids)?;
+    let sky = sp_skyline_records(src, state, result_ids)?;
     let on_hull = hull_filter(&sky);
     let stats = Phase2Stats {
         candidates: on_hull.len(),
@@ -75,6 +75,7 @@ mod tests {
     use super::*;
     use gir_geometry::dominance::dominates;
     use gir_query::brs_topk;
+    use gir_rtree::RTree;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
     use std::sync::Arc;
 

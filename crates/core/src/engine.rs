@@ -3,17 +3,14 @@
 use crate::fp::fp_phase2;
 use crate::fullscan::fullscan_phase2;
 use crate::gir_star::{gir_star_region, StarMethod};
-use crate::mirror::fp_sweep_mirror;
 use crate::phase1::ordering_halfspaces;
 use crate::prune::PruneIndex;
-use crate::region::{GirRegion, RegionKind};
+use crate::region::GirRegion;
 use crate::sp::sp_phase2;
 use crate::{cp::cp_phase2, gir_star::GirStarStats};
-use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_query::{brs_topk, QueryVector, ScoringFunction, TopKResult};
-use gir_rtree::{RTree, RTreeError, Record};
+use gir_rtree::{RTree, RTreeError};
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Phase 2 algorithm selection (paper §5–§6).
@@ -265,30 +262,17 @@ impl<'a> GirEngine<'a> {
     }
 
     /// Computes the top-k result and its GIR through a shared
-    /// [`PruneIndex`] — the cold-miss fast path.
-    ///
-    /// The entire computation runs over the index's cached state: BRS
-    /// top-k traverses the decoded [`crate::mirror::TreeMirror`]
-    /// (identical traversal and tie-breaking, zero page I/O), Phase 1
-    /// is unchanged, and Phase 2 works from the shared dataset skyline
-    /// instead of rebuilding per-query pruning structures:
-    ///
-    /// * **SP** emits one half-space per member of `skyline(D \ R)`,
-    ///   derived from the cached skyline — the same set BBS would have
-    ///   produced, without the resumed descent;
-    /// * **CP** reuses the index's cached hull-of-skyline verbatim when
-    ///   the result does not intersect the skyline, and hull-filters
-    ///   the (small) derived set otherwise;
-    /// * **FP** sweeps the retained frontier with the incident-facet
-    ///   star pre-seeded by the cached skyline, so node pruning is
-    ///   maximally tight from the first test
-    ///   ([`crate::mirror::fp_sweep_mirror`]).
-    ///
-    /// The produced region is pointwise identical to the no-index
-    /// path's (the candidate sets bound the same polytope); only the
-    /// retained half-space list may differ in redundant members.
-    /// `FullScan` has no pruning structure to share and delegates to
-    /// [`GirEngine::gir`].
+    /// [`PruneIndex`] — the cold-miss fast path. A single tree is the
+    /// S = 1 case of the sharded plan, so this is
+    /// [`crate::sharded::gir_sharded`] over one
+    /// [`crate::sharded::ShardView`]: BRS runs over the decoded
+    /// [`crate::mirror::TreeMirror`] (zero page I/O), SP/CP resume BBS
+    /// from its frontier exactly as [`GirEngine::gir`] does, FP sweeps
+    /// the frontier with a star seeded from the cached skyline, and the
+    /// Phase-2 system — keyed by `(method, result set, p_k)` — is reused
+    /// verbatim whenever the ranking recurs and maintained exactly under
+    /// deltas. Pointwise identical to [`GirEngine::gir`]
+    /// (`tests/planner_differential.rs` pins it).
     pub fn gir_indexed(
         &self,
         q: &QueryVector,
@@ -296,136 +280,11 @@ impl<'a> GirEngine<'a> {
         method: Method,
         index: &PruneIndex,
     ) -> Result<GirOutput, GirError> {
-        if method == Method::FullScan {
-            return self.gir(q, k, method);
-        }
-        if !method.supports(&self.scoring) {
-            return Err(GirError::UnsupportedScoring { method });
-        }
-        let store = self.tree.store();
-        // Shared-state fetch first: lazy builds (first miss, or first
-        // after an update burst) are amortized across the queries the
-        // version serves, so their one-off page reads are excluded
-        // from this query's I/O stats (counters start after the
-        // fetch), keeping `topk_pages`/`gir_pages` comparable with
-        // [`GirEngine::gir`].
-        let state = index.snapshot(self.tree)?;
-        let mirror = state.mirror(self.tree)?;
-        let s0 = store.stats();
-
-        let t0 = Instant::now();
-        let mut topk_span = tracing::span!("mirror_topk", method = method.label());
-        let (result, frontier) = mirror.topk(&self.scoring, &q.weights, k);
-        if result.is_empty() {
-            return Err(GirError::EmptyResult);
-        }
-        let topk_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let s1 = store.stats();
-        topk_span.record("pages", s1.reads_since(&s0));
-        drop(topk_span);
-
-        let t1 = Instant::now();
-        let phase1_span = tracing::span!("phase1", k = k);
-        let mut halfspaces = ordering_halfspaces(&result, &self.scoring);
-        drop(phase1_span);
-        let mut phase2_span = tracing::span!("phase2", method = method.label());
-        let kth = result.kth().clone();
-        let result_ids = result.ids();
-        let mut ids_sorted = result_ids.clone();
-        ids_sorted.sort_unstable();
-
-        // The Phase-2 half-space system depends only on (result set,
-        // pivot, method) — not on the query vector — so jittered
-        // queries reproducing a known ranking set reuse it verbatim
-        // from the index (maintained exactly under deltas).
-        let lookup =
-            index.phase2_lookup(RegionKind::Gir, method, &ids_sorted, kth.id, &self.scoring);
-        phase2_span.record("cached", lookup.is_some());
-        let (phase2, structure_size): (Arc<Vec<HalfSpace>>, usize) = match lookup {
-            Some(hit) => hit,
-            None => {
-                let (hs, structure) = match method {
-                    Method::FacetPruning => {
-                        let blocks = state.skyline_blocks();
-                        let seeds: Vec<Record> =
-                            blocks.materialize_if(|id| !result_ids.contains(&id));
-                        // Fused columnar scoring of the seed set;
-                        // `linear_scores` and `materialize_if` both
-                        // emit in storage order, so the slices are
-                        // index-aligned (FP is linear-only, §7.2).
-                        let mut seed_scores: Vec<f64> = Vec::with_capacity(seeds.len());
-                        blocks.linear_scores(q.weights.coords(), |id, score| {
-                            if !result_ids.contains(&id) {
-                                seed_scores.push(score);
-                            }
-                        });
-                        fp_sweep_mirror(
-                            mirror.as_ref(),
-                            &kth,
-                            frontier,
-                            &seeds,
-                            &seed_scores,
-                            &result_ids,
-                        )
-                    }
-                    Method::SkylinePruning | Method::ConvexHullPruning => {
-                        let sky =
-                            state.skyline_excluding_mirror(mirror.as_ref(), &result, frontier);
-                        let structure = sky.records.len();
-                        let hs: Vec<HalfSpace> = if method == Method::SkylinePruning {
-                            sky.records
-                                .iter()
-                                .map(|rec| self.score_order_halfspace(&kth, rec))
-                                .collect()
-                        } else {
-                            state
-                                .hull_candidates(&sky)
-                                .into_iter()
-                                .map(|rec| self.score_order_halfspace(&kth, rec))
-                                .collect()
-                        };
-                        (hs, structure)
-                    }
-                    Method::FullScan => unreachable!("delegated above"),
-                };
-                let hs = Arc::new(hs);
-                index.phase2_admit(
-                    RegionKind::Gir,
-                    method,
-                    ids_sorted,
-                    kth.id,
-                    &self.scoring,
-                    self.scoring.transform_point(&kth.attrs),
-                    Vec::new(),
-                    hs.clone(),
-                    structure,
-                );
-                (hs, structure)
-            }
+        let view = crate::sharded::ShardView {
+            tree: self.tree,
+            index,
         };
-        let candidates = phase2.len();
-        halfspaces.extend(phase2.iter().cloned());
-        let region = GirRegion::new(self.tree.dim(), q.weights.clone(), halfspaces);
-        let gir_cpu_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let s2 = store.stats();
-        phase2_span.record("pages", s2.reads_since(&s1));
-        phase2_span.record("candidates", candidates);
-        drop(phase2_span);
-
-        let stats = GirStats {
-            topk_ms,
-            topk_pages: s1.reads_since(&s0),
-            gir_cpu_ms,
-            gir_pages: s2.reads_since(&s1),
-            candidates,
-            structure_size,
-            halfspaces: region.num_halfspaces(),
-        };
-        Ok(GirOutput {
-            result,
-            region,
-            stats,
-        })
+        crate::sharded::gir_sharded(&[view], &self.scoring, q, k, method)
     }
 
     /// Computes the global top-k and its GIR over a **sharded**
@@ -487,16 +346,6 @@ impl<'a> GirEngine<'a> {
         method: Method,
     ) -> Result<GirOutput, GirError> {
         crate::sharded::gir_star_sharded(shards, scoring, q, k, method)
-    }
-
-    /// The score-order half-space `S(p_k, q') ≥ S(p, q')` over
-    /// transformed attributes.
-    fn score_order_halfspace(&self, kth: &Record, rec: &Record) -> HalfSpace {
-        HalfSpace::score_order(
-            &self.scoring.transform_point(&kth.attrs),
-            &self.scoring.transform_point(&rec.attrs),
-            Provenance::NonResult { record_id: rec.id },
-        )
     }
 
     /// Computes the order-insensitive GIR\* (§7.1): the maximal locus
@@ -894,6 +743,47 @@ mod tests {
                             "{m:?} n={n} d={d} k={k}: indexed ≠ direct at {wp:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_sp_cp_emit_the_cold_phase2_set() {
+        // Indexed SP/CP resume the same BBS over the mirror, so the
+        // Phase-2 half-space *set* — not only the region as a point set
+        // — equals the cold path's.
+        use gir_geometry::hyperplane::Provenance;
+        let phase2_ids = |out: &GirOutput| {
+            let mut ids: Vec<u64> = out
+                .region
+                .halfspaces
+                .iter()
+                .filter_map(|h| match h.provenance {
+                    Provenance::NonResult { record_id } => Some(record_id),
+                    _ => None,
+                })
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        for (n, d, seed) in [(600usize, 2usize, 0xEAu64), (700, 3, 0xEB), (500, 4, 0xEC)] {
+            let (_, tree) = setup(n, d, seed);
+            let engine = GirEngine::new(&tree);
+            let index = crate::prune::PruneIndex::new();
+            let q = QueryVector::new((0..d).map(|i| 0.3 + 0.15 * i as f64).collect::<Vec<_>>());
+            for k in [1usize, 5, 12] {
+                for m in [Method::SkylinePruning, Method::ConvexHullPruning] {
+                    let direct = engine.gir(&q, k, m).unwrap();
+                    let indexed = engine.gir_indexed(&q, k, m, &index).unwrap();
+                    assert_eq!(indexed.result.ids(), direct.result.ids());
+                    let ids = phase2_ids(&direct);
+                    assert!(!ids.is_empty(), "{m:?} d={d} k={k}: no Phase-2 half-spaces");
+                    assert_eq!(phase2_ids(&indexed), ids, "{m:?} d={d} k={k}");
+                    assert_eq!(
+                        indexed.stats.structure_size, direct.stats.structure_size,
+                        "{m:?} d={d} k={k}: skyline sizes differ"
+                    );
                 }
             }
         }

@@ -12,8 +12,8 @@ use crate::fp::{FpStats, SweepContext};
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_geometry::EPS;
-use gir_query::{HeapEntry, Record, ScoringFunction, SearchState};
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError};
+use gir_query::{Record, ScoringFunction, SearchState};
+use gir_rtree::{Mbb, NodeSource, RTreeError};
 use std::f64::consts::FRAC_PI_2;
 
 /// The rotating-line bounds around `p_k`: the two facets of §6.2.
@@ -92,21 +92,21 @@ impl AngularBounds {
 /// FP Phase 2 for `d = 2`: returns at most two half-spaces (the critical
 /// records), scanning only heap entries that rise above the interim
 /// facets.
-pub fn fp_phase2_2d(
-    tree: &RTree,
+pub fn fp_phase2_2d<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
 ) -> Result<(Vec<HalfSpace>, FpStats), RTreeError> {
-    fp_phase2_2d_ctx(tree, scoring, kth, state, &SweepContext::default())
+    fp_phase2_2d_ctx(src, scoring, kth, state, &SweepContext::default())
 }
 
 /// FP Phase 2 for `d = 2` with an explicit [`SweepContext`]: the entry
 /// point for incremental repair, where the state is root-seeded (so
 /// result members must be excluded) and the surviving contributors seed
 /// the rotation bounds before any node is fetched.
-pub fn fp_phase2_2d_ctx(
-    tree: &RTree,
+pub fn fp_phase2_2d_ctx<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     mut state: SearchState,
@@ -123,56 +123,26 @@ pub fn fp_phase2_2d_ctx(
 
     // First step: the in-memory candidates T (record entries in the heap).
     // Drain them so the disk step sees only node entries.
-    let mut nodes: Vec<HeapEntry> = Vec::new();
-    for entry in state.heap.drain() {
-        match entry {
-            HeapEntry::Rec { record, .. } => {
-                if !ctx.skips(record.id) {
-                    bounds.update(&record);
-                }
-            }
-            node @ HeapEntry::Node { .. } => nodes.push(node),
+    let (records, nodes) = state.drain();
+    for &(at, _) in &records {
+        let record = state.record(at);
+        if !ctx.skips(record.id) {
+            bounds.update(record);
         }
     }
-    let mut nodes_examined = 0usize;
-    let mut nodes_pruned = 0usize;
 
     // Second step: refine over the disk, pruning below-facet subtrees.
-    let mut stack: Vec<HeapEntry> = nodes;
-    while let Some(entry) = stack.pop() {
-        let HeapEntry::Node { page, mbb, .. } = entry else {
-            unreachable!("records were drained")
-        };
-        if let Some(m) = &mbb {
-            if bounds.prunes_mbb(m) {
-                nodes_pruned += 1;
-                continue;
+    let (nodes_examined, nodes_pruned) = state.sweep(
+        src,
+        nodes,
+        &mut bounds,
+        |bounds, m| bounds.prunes_mbb(m),
+        |bounds, rec| {
+            if rec.id != kth.id && !ctx.skips(rec.id) {
+                bounds.update(rec);
             }
-        }
-        nodes_examined += 1;
-        match &tree.read_node(page)?.entries {
-            NodeEntries::Internal(children) => {
-                for (child_mbb, child) in children {
-                    if bounds.prunes_mbb(child_mbb) {
-                        nodes_pruned += 1;
-                    } else {
-                        stack.push(HeapEntry::Node {
-                            page: *child,
-                            maxscore: 0.0,
-                            mbb: Some(child_mbb.clone()),
-                        });
-                    }
-                }
-            }
-            NodeEntries::Leaf(records) => {
-                for rec in records {
-                    if rec.id != kth.id && !ctx.skips(rec.id) {
-                        bounds.update(rec);
-                    }
-                }
-            }
-        }
-    }
+        },
+    )?;
 
     let mut halfspaces = Vec::with_capacity(2);
     for rec in [&bounds.lo_rec, &bounds.hi_rec].into_iter().flatten() {

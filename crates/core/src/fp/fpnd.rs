@@ -12,8 +12,8 @@ use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::lp::{max_value_scratch, ConsView, LpScratch};
 use gir_geometry::vector::PointD;
 use gir_geometry::EPS;
-use gir_query::{HeapEntry, Record, ScoringFunction, SearchState};
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError};
+use gir_query::{Record, ScoringFunction, SearchState};
+use gir_rtree::{Mbb, NodeSource, RTreeError};
 
 /// Tuning knobs for FP, used by the ablation benchmarks to isolate the
 /// contribution of each design choice. Defaults reproduce the paper.
@@ -93,20 +93,20 @@ impl<'a> InterimPruner<'a> {
 }
 
 /// FP Phase 2 for `d > 2` with default options and no interim region.
-pub fn fp_phase2_nd(
-    tree: &RTree,
+pub fn fp_phase2_nd<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
 ) -> Result<(Vec<HalfSpace>, FpStats), RTreeError> {
-    fp_phase2_nd_with(tree, scoring, kth, state, FpOptions::default(), &[])
+    fp_phase2_nd_with(src, scoring, kth, state, FpOptions::default(), &[])
 }
 
 /// FP Phase 2 for `d > 2` with explicit options (ablation entry point).
 /// `interim` carries the Phase-1 ordering half-spaces for the footnote-7
 /// tightening; pass `&[]` to disable it regardless of options.
-pub fn fp_phase2_nd_with(
-    tree: &RTree,
+pub fn fp_phase2_nd_with<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
@@ -114,7 +114,7 @@ pub fn fp_phase2_nd_with(
     interim: &[HalfSpace],
 ) -> Result<(Vec<HalfSpace>, FpStats), RTreeError> {
     fp_phase2_nd_ctx(
-        tree,
+        src,
         scoring,
         kth,
         state,
@@ -129,8 +129,8 @@ pub fn fp_phase2_nd_with(
 /// result members must be excluded) and the surviving contributors seed
 /// the star before any node is fetched.
 #[allow(clippy::too_many_arguments)]
-pub fn fp_phase2_nd_ctx(
-    tree: &RTree,
+pub fn fp_phase2_nd_ctx<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     mut state: SearchState,
@@ -143,7 +143,7 @@ pub fn fp_phase2_nd_ctx(
         "FP relies on convex-hull properties that hold only for linear scoring (paper §7.2)"
     );
     let mut star = StarHull::new(kth.attrs.clone());
-    let mut pruner = if opts.phase1_tightening {
+    let pruner = if opts.phase1_tightening {
         InterimPruner::new(interim, kth.attrs.clone())
     } else {
         None
@@ -157,18 +157,12 @@ pub fn fp_phase2_nd_ctx(
     // First step: in-memory candidates T, best (highest coordinate sum)
     // first so early facets prune aggressively — the effect of the
     // paper's max-per-dimension seeding heuristic (§6.3.1).
-    let mut t: Vec<Record> = Vec::new();
-    let mut nodes: Vec<HeapEntry> = Vec::new();
-    for entry in state.heap.drain() {
-        match entry {
-            HeapEntry::Rec { record, .. } => {
-                if !ctx.skips(record.id) && !dominates(&kth.attrs, &record.attrs) {
-                    t.push(record);
-                }
-            }
-            node @ HeapEntry::Node { .. } => nodes.push(node),
-        }
-    }
+    let (records, nodes) = state.drain();
+    let mut t: Vec<&Record> = records
+        .iter()
+        .map(|&(at, _)| state.record(at))
+        .filter(|r| !ctx.skips(r.id) && !dominates(&kth.attrs, &r.attrs))
+        .collect();
     if opts.sort_candidates {
         t.sort_by(|a, b| {
             let sa: f64 = a.attrs.coords().iter().sum();
@@ -176,56 +170,29 @@ pub fn fp_phase2_nd_ctx(
             sb.partial_cmp(&sa).expect("non-NaN")
         });
     }
-    for rec in &t {
+    for rec in t {
         // insert() is a no-op (returns false) for below-star candidates;
         // no separate visibility pre-check needed.
         star.insert(&rec.attrs, rec.id);
     }
 
     // Second step: the disk, through the retained node entries.
-    let mut nodes_examined = 0usize;
-    let mut nodes_pruned = 0usize;
-    let mut stack = nodes;
-    while let Some(entry) = stack.pop() {
-        let HeapEntry::Node { page, mbb, .. } = entry else {
-            unreachable!("records were drained")
-        };
-        if opts.prune_nodes {
-            if let Some(m) = &mbb {
-                if star.prunes_mbb(m) || pruner.as_mut().is_some_and(|p| p.prunes_mbb(m)) {
-                    nodes_pruned += 1;
-                    continue;
-                }
+    let mut cx = (star, pruner);
+    let (nodes_examined, nodes_pruned) = state.sweep(
+        src,
+        nodes,
+        &mut cx,
+        |(star, pruner), m| {
+            opts.prune_nodes
+                && (star.prunes_mbb(m) || pruner.as_mut().is_some_and(|p| p.prunes_mbb(m)))
+        },
+        |(star, _), rec| {
+            if rec.id != kth.id && !ctx.skips(rec.id) && !dominates(&kth.attrs, &rec.attrs) {
+                star.insert(&rec.attrs, rec.id);
             }
-        }
-        nodes_examined += 1;
-        match &tree.read_node(page)?.entries {
-            NodeEntries::Internal(children) => {
-                for (child_mbb, child) in children {
-                    if opts.prune_nodes
-                        && (star.prunes_mbb(child_mbb)
-                            || pruner.as_mut().is_some_and(|p| p.prunes_mbb(child_mbb)))
-                    {
-                        nodes_pruned += 1;
-                    } else {
-                        stack.push(HeapEntry::Node {
-                            page: *child,
-                            maxscore: 0.0,
-                            mbb: Some(child_mbb.clone()),
-                        });
-                    }
-                }
-            }
-            NodeEntries::Leaf(records) => {
-                for rec in records {
-                    if rec.id != kth.id && !ctx.skips(rec.id) && !dominates(&kth.attrs, &rec.attrs)
-                    {
-                        star.insert(&rec.attrs, rec.id);
-                    }
-                }
-            }
-        }
-    }
+        },
+    )?;
+    let star = cx.0;
 
     let critical = star.critical_records();
     let halfspaces: Vec<HalfSpace> = critical

@@ -20,9 +20,8 @@ pub use fpnd::{fp_phase2_nd, fp_phase2_nd_ctx, fp_phase2_nd_with, FpOptions};
 pub use star::StarHull;
 
 use gir_geometry::hyperplane::HalfSpace;
-use gir_query::{HeapEntry, Record, ScoringFunction, SearchState};
-use gir_rtree::{RTree, RTreeError};
-use std::collections::BinaryHeap;
+use gir_query::{Record, ScoringFunction, SearchState};
+use gir_rtree::{NodeSource, RTree, RTreeError};
 
 /// FP-specific Phase 2 statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,17 +67,17 @@ impl SweepContext<'_> {
 /// carries the Phase-1 half-spaces for the footnote-7 node-pruning
 /// tightening (used only for `d > 2`; the 2-d rotating line is already
 /// minimal).
-pub fn fp_phase2(
-    tree: &RTree,
+pub fn fp_phase2<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
     interim: &[HalfSpace],
 ) -> Result<(Vec<HalfSpace>, FpStats), RTreeError> {
     if kth.dim() == 2 {
-        fp_phase2_2d(tree, scoring, kth, state)
+        fp_phase2_2d(src, scoring, kth, state)
     } else {
-        fp_phase2_nd_with(tree, scoring, kth, state, FpOptions::default(), interim)
+        fp_phase2_nd_with(src, scoring, kth, state, FpOptions::default(), interim)
     }
 }
 
@@ -106,16 +105,7 @@ pub fn fp_repair(
     );
     let kth = result.kth();
     let exclude = result.ids();
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry::Node {
-        page: tree.root_page(),
-        maxscore: f64::INFINITY,
-        mbb: None,
-    });
-    let state = SearchState {
-        heap,
-        leaf_pages_read: 0,
-    };
+    let state = SearchState::from_root(tree.root_page());
     let ctx = SweepContext {
         exclude: &exclude,
         seeds,

@@ -20,8 +20,8 @@ use gir_geometry::hull::ConvexHull;
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_geometry::EPS;
-use gir_query::{HeapEntry, Record, ScoringFunction, SearchState, TopKResult};
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError};
+use gir_query::{Record, ScoringFunction, SearchState, TopKResult};
+use gir_rtree::{Mbb, NodeSource, RTree, RTreeError};
 use std::collections::HashSet;
 
 /// Which Phase 2 machinery computes the `GIR_i` regions.
@@ -54,8 +54,7 @@ impl StarMethod {
 /// shares — feed (skip pivots dominating the candidate; `insert()`
 /// already rejects below-star candidates in one scan), node pruning (a
 /// node is pruned only when *every* star prunes it), and emission (one
-/// `StarNonResult` half-space per critical record per star) — so the
-/// tree-walking and mirror-walking sweeps cannot drift.
+/// `StarNonResult` half-space per critical record per star).
 pub(crate) struct StarFan<'a> {
     stars: Vec<(usize, &'a Record, StarHull)>,
 }
@@ -189,15 +188,36 @@ pub fn gir_star_region(
     state: SearchState,
     method: StarMethod,
 ) -> Result<(GirRegion, GirStarStats), RTreeError> {
+    let result_ids: HashSet<u64> = result.ids().into_iter().collect();
+    let r_minus = reduced_result(result);
+    let (halfspaces, stats) =
+        star_phase2(tree, scoring, &r_minus, state, &result_ids, method, &[])?;
+    Ok((
+        GirRegion::new(query.dim(), query.clone(), halfspaces),
+        stats,
+    ))
+}
+
+/// The GIR\* Phase-2 system of the non-result records under `state`
+/// against the `R⁻` pivots: SP/CP resume BBS over `src` and emit every
+/// `(pivot, skyline-candidate)` condition, CP hull-filtering the
+/// candidates first; FP runs the concurrent stars, pre-fed with
+/// `seeds`.
+pub(crate) fn star_phase2<S: NodeSource + ?Sized>(
+    src: &S,
+    scoring: &ScoringFunction,
+    r_minus: &[(usize, Record)],
+    state: SearchState,
+    result_ids: &HashSet<u64>,
+    method: StarMethod,
+    seeds: &[Record],
+) -> Result<(Vec<HalfSpace>, GirStarStats), RTreeError> {
     if method != StarMethod::Skyline {
         assert!(
             scoring.is_linear(),
             "CP/FP-based GIR* requires linear scoring (paper §7.2)"
         );
     }
-    let d = query.dim();
-    let result_ids: HashSet<u64> = result.ids().into_iter().collect();
-    let r_minus = reduced_result(result);
     let mut stats = GirStarStats {
         reduced_result: r_minus.len(),
         ..Default::default()
@@ -205,14 +225,14 @@ pub fn gir_star_region(
 
     let halfspaces = match method {
         StarMethod::Skyline | StarMethod::ConvexHull => {
-            let mut sky = sp_skyline_records(tree, state, &result_ids)?;
+            let mut sky = sp_skyline_records(src, state, result_ids)?;
             stats.structure_size = sky.len();
             if method == StarMethod::ConvexHull {
                 sky = hull_filter(&sky);
             }
             stats.candidates = sky.len() * r_minus.len();
             let mut hs = Vec::with_capacity(stats.candidates);
-            for (rank, pi) in &r_minus {
+            for (rank, pi) in r_minus {
                 let pi_t = scoring.transform_point(&pi.attrs);
                 for p in &sky {
                     hs.push(HalfSpace::score_order(
@@ -228,14 +248,13 @@ pub fn gir_star_region(
             hs
         }
         StarMethod::Facet => {
-            let (hs, fp) = fp_star_phase2(tree, &r_minus, state, &result_ids, &[])?;
+            let (hs, fp) = fp_star_phase2(src, r_minus, state, result_ids, seeds)?;
             stats.candidates = fp.critical;
             stats.structure_size = fp.facets;
             hs
         }
     };
-
-    Ok((GirRegion::new(d, query.clone(), halfspaces), stats))
+    Ok((halfspaces, stats))
 }
 
 /// FP for GIR\*: one star per `R⁻` member, maintained concurrently
@@ -243,8 +262,8 @@ pub fn gir_star_region(
 /// *every* star. `seeds` pre-feeds known candidates (e.g. the surviving
 /// contributors of a region under repair, or a shard's cached skyline)
 /// so the stars start tight; result members must never appear in it.
-fn fp_star_phase2(
-    tree: &RTree,
+fn fp_star_phase2<S: NodeSource + ?Sized>(
+    src: &S,
     r_minus: &[(usize, Record)],
     mut state: SearchState,
     result_ids: &HashSet<u64>,
@@ -252,18 +271,20 @@ fn fp_star_phase2(
 ) -> Result<(Vec<HalfSpace>, FpStats), RTreeError> {
     let mut fan = StarFan::new(r_minus);
 
-    let mut t: Vec<Record> = seeds
+    // Candidates best-first by coordinate sum — the multi-pivot proxy
+    // order (no single query score ranks candidates for every star at
+    // once).
+    let (records, nodes) = state.drain();
+    let mut t: Vec<&Record> = seeds
         .iter()
         .filter(|r| !result_ids.contains(&r.id))
-        .cloned()
         .collect();
-    let mut nodes: Vec<HeapEntry> = Vec::new();
-    for entry in state.heap.drain() {
-        match entry {
-            HeapEntry::Rec { record, .. } => t.push(record),
-            node @ HeapEntry::Node { .. } => nodes.push(node),
-        }
-    }
+    t.extend(
+        records
+            .iter()
+            .map(|&(at, _)| state.record(at))
+            .filter(|r| !result_ids.contains(&r.id)),
+    );
     t.sort_by(|a, b| {
         let sa: f64 = a.attrs.coords().iter().sum();
         let sb: f64 = b.attrs.coords().iter().sum();
@@ -271,44 +292,19 @@ fn fp_star_phase2(
     });
     let feed: Vec<(&PointD, u64)> = t.iter().map(|r| (&r.attrs, r.id)).collect();
     fan.feed_all(&feed);
+    drop((feed, t));
 
-    let mut nodes_examined = 0usize;
-    let mut nodes_pruned = 0usize;
-    let mut stack = nodes;
-    while let Some(entry) = stack.pop() {
-        let HeapEntry::Node { page, mbb, .. } = entry else {
-            unreachable!("records were drained")
-        };
-        if let Some(m) = &mbb {
-            if fan.prunes_mbb(m) {
-                nodes_pruned += 1;
-                continue;
+    let (nodes_examined, nodes_pruned) = state.sweep(
+        src,
+        nodes,
+        &mut fan,
+        |fan, m| fan.prunes_mbb(m),
+        |fan, rec| {
+            if !result_ids.contains(&rec.id) {
+                fan.feed(&rec.attrs, rec.id);
             }
-        }
-        nodes_examined += 1;
-        match &tree.read_node(page)?.entries {
-            NodeEntries::Internal(children) => {
-                for (child_mbb, child) in children {
-                    if fan.prunes_mbb(child_mbb) {
-                        nodes_pruned += 1;
-                    } else {
-                        stack.push(HeapEntry::Node {
-                            page: *child,
-                            maxscore: 0.0,
-                            mbb: Some(child_mbb.clone()),
-                        });
-                    }
-                }
-            }
-            NodeEntries::Leaf(records) => {
-                for rec in records {
-                    if !result_ids.contains(&rec.id) {
-                        fan.feed(&rec.attrs, rec.id);
-                    }
-                }
-            }
-        }
-    }
+        },
+    )?;
 
     let (halfspaces, critical, facets) = fan.finish();
     Ok((
@@ -348,16 +344,7 @@ pub fn fp_star_repair(
     );
     let result_ids: HashSet<u64> = result.ids().into_iter().collect();
     let r_minus = reduced_result(result);
-    let mut heap = std::collections::BinaryHeap::new();
-    heap.push(HeapEntry::Node {
-        page: tree.root_page(),
-        maxscore: f64::INFINITY,
-        mbb: None,
-    });
-    let state = SearchState {
-        heap,
-        leaf_pages_read: 0,
-    };
+    let state = SearchState::from_root(tree.root_page());
     let (hs, fp) = fp_star_phase2(tree, &r_minus, state, &result_ids, seeds)?;
     Ok((
         hs,

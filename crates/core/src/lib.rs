@@ -50,7 +50,7 @@ pub mod svg;
 pub mod viz;
 pub mod wire;
 
-pub use cache::{BatchOutcome, CacheKey, GirCache, RepairRequest};
+pub use cache::{BatchOutcome, CacheKey, CachedRecords, GirCache, RepairRequest};
 pub use engine::{GirEngine, GirError, GirOutput, GirStats, Method};
 pub use gir_star::{fp_star_repair, reduced_result, StarMethod};
 pub use maintenance::{
@@ -59,7 +59,7 @@ pub use maintenance::{
 };
 pub use mirror::TreeMirror;
 pub use plan::{Decision, MissPath, ObserveOutcome, PlanInputs, Planner, PlannerStats};
-pub use prune::{ExcludedSkyline, PruneIndex, PruneIndexStats, PruneState};
+pub use prune::{PruneIndex, PruneIndexStats, PruneState};
 pub use region::{BoundaryEvent, GirRegion, ReducedGir, RegionKind};
 pub use sharded::{
     gir_sharded, gir_star_sharded, merge_ranked_lists, shard_gir_system, shard_star_system,

@@ -5,30 +5,24 @@
 //! opens. The tree's structure is query-independent, so the
 //! [`crate::prune::PruneIndex`] caches one [`TreeMirror`] per dataset
 //! version: the tree's decoded nodes (`Arc<Node>`, shared with the
-//! tree, which keeps every node decoded), indexed by page id, which
-//! the miss path traverses with zero storage I/O and zero per-node
-//! allocation. An update invalidates the mirror; the tree copies each
-//! node the mirror still shares on its update path once, and the next
-//! miss rebuilds the mirror lazily as one pointer copy per reachable
-//! page.
+//! tree, which keeps every node decoded), indexed by page id. An update
+//! invalidates the mirror; the tree copies each node the mirror still
+//! shares on its update path once, and the next miss rebuilds the
+//! mirror lazily as one pointer copy per reachable page.
 //!
-//! [`TreeMirror::topk`] is BRS over the mirror — identical traversal
-//! order and tie-breaking to `gir_query::brs_topk` (the equivalence
-//! tests pin this), returning the ranked result plus the retained
-//! frontier with *borrowed* records (no clone of the set `T`).
-//! [`fp_sweep_mirror`] is the FP Phase 2 sweep over that frontier,
-//! seeded with the prune-index skyline so the incident-facet star is
-//! maximally tight before the first node test.
+//! The mirror is a [`NodeSource`] that reads nothing: every traversal —
+//! `gir_query::brs_topk`, BBS, the Phase-2 sweeps — runs over it
+//! unchanged, with zero storage I/O. [`fp_sweep_mirror`] is the indexed
+//! FP Phase 2, seeded with the prune-index skyline so the
+//! incident-facet star is maximally tight before the first node test.
 
 use crate::fp::StarHull;
 use gir_geometry::dominance::dominates;
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
-use gir_query::{ScoringFunction, TopKResult};
-use gir_rtree::{Mbb, Node, NodeEntries, RTree, RTreeError, Record};
+use gir_query::{brs_topk, ScoringFunction, SearchState, TopKResult};
+use gir_rtree::{Node, NodeEntries, NodeSource, RTree, RTreeError, Record};
 use gir_storage::PageId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// An immutable snapshot of an R\*-tree's nodes (see module docs).
@@ -85,142 +79,36 @@ impl TreeMirror {
         self.records
     }
 
-    /// The entries of the node at `page`.
-    ///
-    /// # Panics
-    /// When `page` was not reachable at build time — a stale mirror,
-    /// i.e. a caller that mutated the tree without invalidating the
-    /// prune index.
-    pub fn node(&self, page: PageId) -> &NodeEntries {
-        &self
-            .nodes
-            .get(page as usize)
-            .and_then(|n| n.as_ref())
-            .expect("stale tree mirror: updates must invalidate the prune index")
-            .entries
-    }
-
-    /// BRS top-k over the mirror: identical result (including
-    /// tie-breaking) to `gir_query::brs_topk`, with the retained
-    /// frontier borrowing the mirror's records instead of cloning them.
+    /// BRS top-k over the mirror (`gir_query::brs_topk`, zero I/O).
     pub fn topk(
         &self,
         scoring: &ScoringFunction,
         weights: &PointD,
         k: usize,
-    ) -> (TopKResult, Frontier<'_>) {
-        assert!(k >= 1, "k must be at least 1");
-        let mut heap: BinaryHeap<FrontierEntry<'_>> = BinaryHeap::new();
-        let mut ranked: Vec<(Record, f64)> = Vec::with_capacity(k);
-        // Plain locals, reported once at the end: BRS cost accounting
-        // for EXPLAIN/metrics without per-visit dispatch.
-        let mut nodes_visited = 0u64;
-        let mut leaves_scanned = 0u64;
-        heap.push(FrontierEntry::Node {
-            page: self.root,
-            maxscore: f64::INFINITY,
-            mbb: None,
-        });
-        while let Some(entry) = heap.pop() {
-            match entry {
-                FrontierEntry::Rec { rec, score } => {
-                    ranked.push((rec.clone(), score));
-                    if ranked.len() == k {
-                        break;
-                    }
-                }
-                FrontierEntry::Node { page, .. } => match self.node(page) {
-                    NodeEntries::Internal(children) => {
-                        nodes_visited += 1;
-                        for (mbb, child) in children {
-                            heap.push(FrontierEntry::Node {
-                                page: *child,
-                                maxscore: scoring.maxscore(weights, mbb),
-                                mbb: Some(mbb),
-                            });
-                        }
-                    }
-                    NodeEntries::Leaf(records) => {
-                        nodes_visited += 1;
-                        leaves_scanned += records.len() as u64;
-                        for rec in records {
-                            heap.push(FrontierEntry::Rec {
-                                rec,
-                                score: scoring.score(weights, &rec.attrs),
-                            });
-                        }
-                    }
-                },
-            }
-        }
-        tracing::event!("brs_visit", nodes = nodes_visited, leaves = leaves_scanned);
-        (TopKResult { ranked }, Frontier { heap })
+    ) -> (TopKResult, SearchState) {
+        brs_topk(self, scoring, weights, k).expect("mirror reads perform no I/O")
     }
 }
 
-/// A retained-search frontier entry borrowing the mirror's data.
-#[derive(Debug, Clone)]
-pub enum FrontierEntry<'a> {
-    /// An unexpanded node with its maxscore bound.
-    Node {
-        /// Page id in the mirrored tree.
-        page: PageId,
-        /// Maxscore bound (top-corner score).
-        maxscore: f64,
-        /// The node's MBB from its parent entry (`None` for the root).
-        mbb: Option<&'a Mbb>,
-    },
-    /// An encountered, unreported record.
-    Rec {
-        /// The record (borrowed from a mirrored leaf).
-        rec: &'a Record,
-        /// Its exact score.
-        score: f64,
-    },
-}
-
-impl FrontierEntry<'_> {
-    fn key(&self) -> f64 {
-        match self {
-            FrontierEntry::Node { maxscore, .. } => *maxscore,
-            FrontierEntry::Rec { score, .. } => *score,
-        }
+impl NodeSource for TreeMirror {
+    fn root(&self) -> PageId {
+        self.root
     }
 
-    // Mirrors `gir_query::HeapEntry`'s tie-breaking exactly: records
-    // before nodes on equal keys, then by id.
-    fn tiebreak(&self) -> (u8, u64) {
-        match self {
-            FrontierEntry::Rec { rec, .. } => (1, rec.id),
-            FrontierEntry::Node { page, .. } => (0, *page),
-        }
+    /// The shared node, uncounted.
+    ///
+    /// # Panics
+    /// When `page` was not reachable at build time — a stale mirror,
+    /// i.e. a caller that mutated the tree without invalidating the
+    /// prune index.
+    fn node(&self, page: PageId) -> Result<Arc<Node>, RTreeError> {
+        Ok(Arc::clone(
+            self.nodes
+                .get(page as usize)
+                .and_then(Option::as_ref)
+                .expect("stale tree mirror: updates must invalidate the prune index"),
+        ))
     }
-}
-
-impl PartialEq for FrontierEntry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for FrontierEntry<'_> {}
-impl PartialOrd for FrontierEntry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FrontierEntry<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key()
-            .total_cmp(&other.key())
-            .then_with(|| self.tiebreak().cmp(&other.tiebreak()))
-    }
-}
-
-/// The retained frontier of a [`TreeMirror::topk`] run.
-#[derive(Debug)]
-pub struct Frontier<'a> {
-    /// Unexpanded nodes plus encountered non-result records.
-    pub heap: BinaryHeap<FrontierEntry<'a>>,
 }
 
 /// FP Phase 2 over the mirror: the incident-facet star pinned at `p_k`,
@@ -239,68 +127,51 @@ pub struct Frontier<'a> {
 pub fn fp_sweep_mirror(
     mirror: &TreeMirror,
     kth: &Record,
-    frontier: Frontier<'_>,
+    mut frontier: SearchState,
     seeds: &[Record],
     seed_scores: &[f64],
     exclude: &[u64],
 ) -> (Vec<HalfSpace>, usize) {
     debug_assert_eq!(seeds.len(), seed_scores.len());
     let mut star = StarHull::new(kth.attrs.clone());
+    let candidate = |rec: &Record| {
+        rec.id != kth.id && !exclude.contains(&rec.id) && !dominates(&kth.attrs, &rec.attrs)
+    };
 
     // Candidates best-first (by actual query score — the frontier
     // already carries scores; seed scores come pre-fused).
-    let mut cands: Vec<(&Record, f64)> = Vec::with_capacity(seeds.len() + frontier.heap.len());
+    let (records, nodes) = frontier.drain();
+    let mut cands: Vec<(&Record, f64)> = Vec::with_capacity(seeds.len() + records.len());
     for (rec, &score) in seeds.iter().zip(seed_scores) {
         if rec.id != kth.id && !dominates(&kth.attrs, &rec.attrs) {
             cands.push((rec, score));
         }
     }
-    let mut nodes: Vec<(Option<&Mbb>, PageId)> = Vec::new();
-    for entry in frontier.heap.into_vec() {
-        match entry {
-            FrontierEntry::Rec { rec, score } => {
-                if rec.id != kth.id
-                    && !exclude.contains(&rec.id)
-                    && !dominates(&kth.attrs, &rec.attrs)
-                {
-                    cands.push((rec, score));
-                }
-            }
-            FrontierEntry::Node { page, mbb, .. } => nodes.push((mbb, page)),
-        }
-    }
+    cands.extend(
+        records
+            .iter()
+            .map(|&(at, score)| (frontier.record(at), score))
+            .filter(|(rec, _)| candidate(rec)),
+    );
     cands.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("non-NaN"));
     for (rec, _) in &cands {
         star.insert(&rec.attrs, rec.id);
     }
+    drop(cands);
 
-    let mut stack = nodes;
-    while let Some((mbb, page)) = stack.pop() {
-        if let Some(m) = mbb {
-            if star.prunes_mbb(m) {
-                continue;
-            }
-        }
-        match mirror.node(page) {
-            NodeEntries::Internal(children) => {
-                for (child_mbb, child) in children {
-                    if !star.prunes_mbb(child_mbb) {
-                        stack.push((Some(child_mbb), *child));
-                    }
+    frontier
+        .sweep(
+            mirror,
+            nodes,
+            &mut star,
+            |star, mbb| star.prunes_mbb(mbb),
+            |star, rec| {
+                if candidate(rec) {
+                    star.insert(&rec.attrs, rec.id);
                 }
-            }
-            NodeEntries::Leaf(records) => {
-                for rec in records {
-                    if rec.id != kth.id
-                        && !exclude.contains(&rec.id)
-                        && !dominates(&kth.attrs, &rec.attrs)
-                    {
-                        star.insert(&rec.attrs, rec.id);
-                    }
-                }
-            }
-        }
-    }
+            },
+        )
+        .expect("mirror reads perform no I/O");
 
     let halfspaces = star
         .critical_records()
@@ -315,7 +186,6 @@ pub fn fp_sweep_mirror(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gir_query::brs_topk;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
     use std::sync::Arc;
 
@@ -346,8 +216,9 @@ mod tests {
 
     #[test]
     fn mirror_topk_matches_brs_exactly() {
-        // Same ranked ids — including order and tie handling — for
-        // linear and non-linear scoring, several k.
+        // BRS over the live tree and BRS over the mirror: the same ranked
+        // ids (including order and tie handling) and the same retained
+        // frontier records, for linear and non-linear scoring, several k.
         let (_, tree) = setup(3000, 4, 0x32);
         let mirror = TreeMirror::build(&tree).unwrap();
         for scoring in [ScoringFunction::linear(4), ScoringFunction::mixed4()] {
@@ -358,21 +229,14 @@ mod tests {
             ] {
                 let w = PointD::new(wv);
                 let (expect, state) = brs_topk(&tree, &scoring, &w, k).unwrap();
-                let (got, frontier) = mirror.topk(&scoring, &w, k);
+                let (got, frontier) = brs_topk(&mirror, &scoring, &w, k).unwrap();
                 assert_eq!(got.ids(), expect.ids(), "k={k}");
-                // The retained frontiers hold the same record set T.
-                let mut t_expect: Vec<u64> = state.encountered_records().map(|r| r.id).collect();
-                let mut t_got: Vec<u64> = frontier
-                    .heap
-                    .iter()
-                    .filter_map(|e| match e {
-                        FrontierEntry::Rec { rec, .. } => Some(rec.id),
-                        _ => None,
-                    })
-                    .collect();
-                t_expect.sort_unstable();
-                t_got.sort_unstable();
-                assert_eq!(t_got, t_expect, "frontier T mismatch at k={k}");
+                let t = |s: &SearchState| {
+                    let mut ids: Vec<u64> = s.encountered_records().map(|r| r.id).collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(t(&frontier), t(&state), "frontier T mismatch at k={k}");
             }
         }
     }

@@ -12,13 +12,14 @@
 //! * **sharded** — the fan-out/merge plan over per-shard
 //!   [`crate::ShardView`]s.
 //!
-//! `BENCH_cold_gir.json` shows the ranking between these *inverts* with
-//! dimension: the indexed recompute beats cold at d ≤ 3 but loses badly
-//! at d = 4 (the skyline — and with it the Phase-2 candidate set —
-//! grows as `(ln n)^(d-1)/(d-1)!`), while a Phase-2 reuse hit is a flat
-//! few microseconds regardless of d. A static preference is therefore
-//! wrong somewhere; the [`Planner`] instead estimates every path's cost
-//! per query from a small per-`(method, d)` linear model and dispatches
+//! `BENCH_cold_gir.json` (n = 8000) shows how close the recompute paths
+//! now are: indexed SP/CP run the cold path's BBS resume over the
+//! decoded mirror and track it within 1.07× at every d (SP at d = 4:
+//! 517 µs indexed against 511 µs cold), while the indexed FP sweep,
+//! a different algorithm, costs 1.05–1.4× its cold counterpart (188
+//! against 163 µs at d = 4). A Phase-2 reuse hit is a flat 4–15 µs
+//! regardless of d. The [`Planner`] estimates every path's cost per
+//! query from a small per-`(method, d)` linear model and dispatches
 //! the argmin.
 //!
 //! Cost model: each `(method, d)` cell holds one fitted scalar per path

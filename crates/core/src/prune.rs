@@ -3,28 +3,27 @@
 //!
 //! Every cache miss of the serving layer used to rebuild the same
 //! query-*independent* structures from scratch: the dataset skyline
-//! (resumed BBS over the retained BRS heap), the convex hull of the
-//! skyline (CP), and the R\*-tree descent state (page fetches *and
-//! decodes* along every BRS/Phase-2 walk). [`PruneIndex`] hoists all of
-//! it out of the per-query path:
+//! (resumed BBS over the retained BRS heap) and the R\*-tree descent
+//! state (page fetches *and decodes* along every BRS/Phase-2 walk).
+//! [`PruneIndex`] hoists them out of the per-query path:
 //!
 //! * the **dataset skyline** is computed once (lazily, on the first
 //!   miss) and stored column-major in [`RecordBlocks`] so the per-query
 //!   dominance scans run as fused, block-skipping kernels; the
 //!   per-block **corner maxima** act as precomputed score/dominance
-//!   bounds that let scans skip whole blocks;
-//! * the **convex hull of the skyline** (the CP §5.2 pruning structure)
-//!   is derived lazily per index version and reused verbatim whenever
-//!   the query's result does not intersect the skyline;
+//!   bounds that let scans skip whole blocks. FP seeds its
+//!   incident-facet stars from it;
 //! * the **tree mirror** ([`TreeMirror`]) shares the tree's decoded
 //!   nodes per dataset version, so BRS and the Phase-2 sweeps of a miss
-//!   traverse plain in-memory vectors — no page I/O, no
-//!   deserialization.
+//!   run over a node source that reads nothing — no page I/O, no
+//!   deserialization;
+//! * the **shared Phase-2 systems**, keyed by result set and pivot,
+//!   answer a recurring ranking without any sweep.
 //!
-//! Per query, `skyline(D \ R)` is derived from the shared skyline in
-//! time proportional to `|R ∩ skyline|`: result members are masked out
-//! and the records their dominance was hiding are promoted from the
-//! retained search frontier ([`PruneState::skyline_excluding`]).
+//! SP and CP derive `skyline(D \ R)` per query the way the cold path
+//! does — BBS resumed from the retained frontier, over the mirror —
+//! which measured faster than masking the cached skyline and promoting
+//! the records the result was hiding.
 //!
 //! The index is maintained **incrementally** by the update pipeline
 //! (PR 2's delta path):
@@ -35,9 +34,9 @@
 //! * deletion of a non-skyline record: a set lookup, nothing else;
 //! * deletion of a skyline member: a localized descent into the
 //!   deleted member's dominance region repairs the skyline in place;
-//! * the hull and the tree mirror are version-scoped: any skyline or
-//!   tree change resets them, and the next miss rebuilds lazily
-//!   (amortized across the batch it serves).
+//! * the tree mirror is version-scoped: any tree change resets it, and
+//!   the next miss rebuilds it lazily (amortized across the batch it
+//!   serves).
 //!
 //! An equivalence property test (`tests/proptest_prune_index.rs`)
 //! checks that the incrementally-maintained index is structurally
@@ -45,17 +44,15 @@
 //! updates, and that GIRs served through it match the no-index oracle.
 
 use crate::engine::Method;
-use crate::mirror::{Frontier, FrontierEntry, TreeMirror};
+use crate::mirror::TreeMirror;
 use crate::region::RegionKind;
 use gir_geometry::dominance::{dominates, SkylineSet};
-use gir_geometry::hull::ConvexHull;
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
 use gir_geometry::EPS;
-use gir_query::{bbs_skyline, HeapEntry, RecordBlocks, ScoringFunction, SearchState, TopKResult};
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError, Record};
-use gir_storage::PageId;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use gir_query::{bbs_skyline, RecordBlocks, ScoringFunction, SearchState};
+use gir_rtree::{RTree, RTreeError, Record};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -125,11 +122,6 @@ pub struct PruneState {
     d: usize,
     /// The dataset skyline, column-major with per-block corner maxima.
     blocks: RecordBlocks,
-    /// Ids of skyline records on the convex hull of the skyline —
-    /// `None` once computed means the hull was degenerate (CP then
-    /// falls back to the whole skyline, exactly like
-    /// [`crate::cp::hull_filter`]). Built lazily per state version.
-    hull: OnceLock<Option<Vec<u64>>>,
     /// The decoded tree of this dataset version. Built lazily per
     /// state version; reset by every update.
     mirror: OnceLock<Arc<TreeMirror>>,
@@ -137,30 +129,14 @@ pub struct PruneState {
 
 impl Clone for PruneState {
     fn clone(&self) -> PruneState {
-        let hull = OnceLock::new();
-        if let Some(h) = self.hull.get() {
-            let _ = hull.set(h.clone());
-        }
         // The mirror is deliberately NOT carried over: cloning happens
         // on copy-on-write update paths, where the tree is changing.
         PruneState {
             d: self.d,
             blocks: self.blocks.clone(),
-            hull,
             mirror: OnceLock::new(),
         }
     }
-}
-
-/// `skyline(D \ R)` derived from the shared skyline for one query.
-#[derive(Debug, Clone)]
-pub struct ExcludedSkyline {
-    /// The skyline of the non-result records.
-    pub records: Vec<Record>,
-    /// True when the result intersected the dataset skyline (some
-    /// members were masked and replacements promoted) — the cached
-    /// hull-of-skyline does not apply then.
-    pub touched: bool,
 }
 
 impl PruneState {
@@ -184,47 +160,6 @@ impl PruneState {
         &self.blocks
     }
 
-    /// Ids of skyline records on the convex hull of the skyline
-    /// (sorted, so membership is a binary search), built on first use
-    /// for this state version. `None` when the hull is degenerate (too
-    /// few points or a lower-dimensional flat).
-    pub fn hull_ids(&self) -> Option<&[u64]> {
-        self.hull
-            .get_or_init(|| {
-                let recs = self.blocks.materialize();
-                let points: Vec<PointD> = recs.iter().map(|r| r.attrs.clone()).collect();
-                ConvexHull::build(&points).ok().map(|h| {
-                    let mut ids: Vec<u64> =
-                        h.vertex_indices().into_iter().map(|i| recs[i].id).collect();
-                    ids.sort_unstable();
-                    ids
-                })
-            })
-            .as_deref()
-    }
-
-    /// The CP candidate set of an excluded skyline: its convex-hull
-    /// members, reusing the cached hull-of-skyline when the result left
-    /// the shared skyline untouched (then the cached hull IS the hull
-    /// of the candidate set), hull-filtering the derived set otherwise.
-    /// The one implementation shared by the single-tree indexed path
-    /// and both sharded Phase-2 forms, so the reuse condition cannot
-    /// drift between them.
-    pub fn hull_candidates<'a>(&self, sky: &'a ExcludedSkyline) -> Vec<&'a Record> {
-        match (sky.touched, self.hull_ids()) {
-            (false, Some(hull)) => sky
-                .records
-                .iter()
-                .filter(|r| hull.binary_search(&r.id).is_ok())
-                .collect(),
-            _ => {
-                let kept = crate::cp::hull_filter(&sky.records);
-                let ids: HashSet<u64> = kept.iter().map(|r| r.id).collect();
-                sky.records.iter().filter(|r| ids.contains(&r.id)).collect()
-            }
-        }
-    }
-
     /// The decoded tree for this dataset version, building it on first
     /// use. The caller must hold the tree lock that the serving layer
     /// uses to serialize queries against updates.
@@ -244,205 +179,65 @@ impl PruneState {
         let built = Arc::new(TreeMirror::build(tree)?);
         Ok(self.mirror.get_or_init(|| built).clone())
     }
-
-    /// Derives `skyline(D \ R)` for the result `R`: shared skyline
-    /// minus the result members, plus — when result members were
-    /// themselves skyline members — the records their dominance was
-    /// hiding.
-    ///
-    /// The promotion reuses the retained BRS `state` (§3.3): the heap
-    /// is an exact frontier of the dataset, so every candidate is
-    /// either a record BRS already fetched (screened in memory) or
-    /// lies under an unexpanded heap node, which is opened only when
-    /// its box corner *clipped to a masked pivot* is not already
-    /// dominated.
-    pub fn skyline_excluding(
-        &self,
-        tree: &RTree,
-        result: &TopKResult,
-        state: SearchState,
-    ) -> Result<ExcludedSkyline, RTreeError> {
-        self.exclude_inner(NodeAccess::Tree(tree), result, |stack, consider| {
-            for entry in state.heap.into_vec() {
-                match entry {
-                    HeapEntry::Rec { record, .. } => consider(&record),
-                    HeapEntry::Node { page, mbb, .. } => stack.push((mbb, page)),
-                }
-            }
-        })
-    }
-
-    /// [`PruneState::skyline_excluding`] over the decoded mirror and
-    /// its retained frontier — the zero-I/O form the serving miss path
-    /// uses.
-    pub fn skyline_excluding_mirror(
-        &self,
-        mirror: &TreeMirror,
-        result: &TopKResult,
-        frontier: Frontier<'_>,
-    ) -> ExcludedSkyline {
-        self.exclude_inner(NodeAccess::Mirror(mirror), result, |stack, consider| {
-            for entry in frontier.heap.into_vec() {
-                match entry {
-                    FrontierEntry::Rec { rec, .. } => consider(rec),
-                    FrontierEntry::Node { page, mbb, .. } => stack.push((mbb.cloned(), page)),
-                }
-            }
-        })
-        .expect("mirror walks perform no I/O")
-    }
-
-    fn exclude_inner(
-        &self,
-        access: NodeAccess<'_>,
-        result: &TopKResult,
-        seed: impl FnOnce(&mut Vec<(Option<Mbb>, PageId)>, &mut dyn FnMut(&Record)),
-    ) -> Result<ExcludedSkyline, RTreeError> {
-        let result_ids = result.ids();
-        let mut records = self.blocks.materialize_if(|id| !result_ids.contains(&id));
-        let pivots: Vec<PointD> = result
-            .ranked
-            .iter()
-            .map(|(r, _)| r)
-            .filter(|r| self.blocks.contains(r.id))
-            .map(|r| r.attrs.clone())
-            .collect();
-        if pivots.is_empty() {
-            return Ok(ExcludedSkyline {
-                records,
-                touched: false,
-            });
-        }
-        let mut promoted: SkylineSet<Record> = SkylineSet::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut stack: Vec<(Option<Mbb>, PageId)> = Vec::new();
-        seed(&mut stack, &mut |rec| {
-            consider_record(
-                rec,
-                &pivots,
-                &self.blocks,
-                &result_ids,
-                &mut promoted,
-                &mut seen,
-            )
-        });
-        promote_walk(
-            access,
-            &pivots,
-            &self.blocks,
-            &result_ids,
-            stack,
-            &mut promoted,
-            &mut seen,
-        )?;
-        records.extend(promoted.into_entries().into_iter().map(|(_, r)| r));
-        Ok(ExcludedSkyline {
-            records,
-            touched: true,
-        })
-    }
 }
 
-/// Node access for the promotion walk: the live tree (one logical page
-/// fetch per node) or the cached mirror (no I/O).
-enum NodeAccess<'a> {
-    Tree(&'a RTree),
-    Mirror(&'a TreeMirror),
-}
-
-impl NodeAccess<'_> {
-    fn visit<R>(&self, page: PageId, f: impl FnOnce(&NodeEntries) -> R) -> Result<R, RTreeError> {
-        match self {
-            NodeAccess::Tree(tree) => Ok(f(&tree.read_node(page)?.entries)),
-            NodeAccess::Mirror(mirror) => Ok(f(mirror.node(page))),
-        }
-    }
-}
-
-/// Screens one record for promotion: inside some pivot's dominance
-/// region, not a current skyline member, not masked, and not dominated
-/// by the shared skyline (`except` masked out) or an already-promoted
-/// record.
+/// Screens one record for promotion: inside the deleted member's
+/// dominance region, not a current skyline member, not dominated by the
+/// remaining skyline or an already-promoted record.
 fn consider_record(
     rec: &Record,
-    pivots: &[PointD],
+    pivot: &PointD,
     blocks: &RecordBlocks,
-    except: &[u64],
     promoted: &mut SkylineSet<Record>,
     seen: &mut HashSet<u64>,
 ) {
-    if blocks.contains(rec.id)
-        || except.contains(&rec.id)
-        || seen.contains(&rec.id)
-        || !pivots.iter().any(|p| dominates(p, &rec.attrs))
-    {
+    if blocks.contains(rec.id) || seen.contains(&rec.id) || !dominates(pivot, &rec.attrs) {
         return;
     }
-    if blocks.dominates_any_except(rec.attrs.coords(), except) || promoted.dominated(&rec.attrs) {
+    if blocks.dominates_any_except(rec.attrs.coords(), &[]) || promoted.dominated(&rec.attrs) {
         return;
     }
     seen.insert(rec.id);
     promoted.insert(rec.attrs.clone(), rec.clone());
 }
 
-/// The node walk of the promotion: a subtree is opened only when, for
-/// some pivot, its box intersects that pivot's dominance region
-/// (`mbb.lo ≤ pivot`) **and** the box corner *clipped to the pivot* —
-/// the best point a candidate under this pivot could occupy — is not
-/// already dominated. The clipping is what keeps the walk local: the
-/// surviving volume is the thin exclusive-dominance shell right under
-/// the pivots, not the pivots' whole dominance cone.
+/// The skyline repair after deleting the member at `pivot`: the
+/// records its dominance was hiding. A subtree is opened only when its
+/// box intersects the pivot's dominance region (`mbb.lo ≤ pivot`)
+/// **and** the box corner *clipped to the pivot* — the best point a
+/// hidden record could occupy — is not already dominated. The clipping
+/// is what keeps the walk local: the surviving volume is the thin
+/// exclusive-dominance shell right under the pivot, not its whole
+/// dominance cone.
 fn promote_walk(
-    access: NodeAccess<'_>,
-    pivots: &[PointD],
+    tree: &RTree,
+    pivot: &PointD,
     blocks: &RecordBlocks,
-    except: &[u64],
-    mut stack: Vec<(Option<Mbb>, PageId)>,
-    promoted: &mut SkylineSet<Record>,
-    seen: &mut HashSet<u64>,
-) -> Result<(), RTreeError> {
-    debug_assert!(!pivots.is_empty());
-    let d = pivots[0].dim();
+) -> Result<SkylineSet<Record>, RTreeError> {
+    let d = pivot.dim();
     debug_assert!(d <= 16, "rtree dimensionality bound");
     let mut clipped = [0.0f64; 16];
-    let mut children: Vec<(Option<Mbb>, PageId)> = Vec::new();
-    'walk: while let Some((mbb, page)) = stack.pop() {
-        if let Some(m) = &mbb {
-            let mut open = false;
-            'pivot: for p in pivots {
-                for j in 0..d {
-                    // A record dominated by `p` is ≤ p on every
-                    // dimension; impossible when the box floor exceeds
-                    // it anywhere.
-                    if m.lo[j] > p[j] {
-                        continue 'pivot;
-                    }
-                    clipped[j] = m.hi[j].min(p[j]);
+    let mut found = (SkylineSet::new(), HashSet::new());
+    SearchState::default().sweep(
+        tree,
+        vec![(tree.root_page(), None)],
+        &mut found,
+        |(promoted, _), m| {
+            for j in 0..d {
+                // A record dominated by the pivot is ≤ it on every
+                // dimension; impossible when the box floor exceeds it
+                // anywhere.
+                if m.lo[j] > pivot[j] {
+                    return true;
                 }
-                if !blocks.dominates_any_except(&clipped[..d], except)
-                    && !promoted.dominated_slice(&clipped[..d])
-                {
-                    open = true;
-                    break;
-                }
+                clipped[j] = m.hi[j].min(pivot[j]);
             }
-            if !open {
-                continue 'walk;
-            }
-        }
-        access.visit(page, |entries| match entries {
-            NodeEntries::Internal(cs) => {
-                children.extend(cs.iter().map(|(m, c)| (Some(m.clone()), *c)));
-            }
-            NodeEntries::Leaf(recs) => {
-                for rec in recs {
-                    consider_record(rec, pivots, blocks, except, promoted, seen);
-                }
-            }
-        })?;
-        stack.append(&mut children);
-    }
-    Ok(())
+            blocks.dominates_any_except(&clipped[..d], &[])
+                || promoted.dominated_slice(&clipped[..d])
+        },
+        |(promoted, seen), rec| consider_record(rec, pivot, blocks, promoted, seen),
+    )?;
+    Ok(found.0)
 }
 
 /// A lazily-built, incrementally-maintained, concurrently-shareable
@@ -572,7 +367,7 @@ impl PruneIndex {
 
     /// Drops the shared Phase-2 systems that name record `id` — as a
     /// result member of their key or as a constraint contributor —
-    /// without touching the skyline, hull or mirror.
+    /// without touching the skyline or mirror.
     ///
     /// Sharded datasets call this on every **non-owning** shard when a
     /// record is deleted: the skyline repair is the owning shard's
@@ -595,7 +390,7 @@ impl PruneIndex {
             });
     }
 
-    /// Drops the shared Phase-2 systems only (skyline, hull and mirror
+    /// Drops the shared Phase-2 systems only (skyline and mirror
     /// survive); they rebuild lazily on the next miss per result set.
     /// A diagnostic/benchmark hook — `cold_gir` uses it to time the
     /// Phase-2 *recompute* path separately from the steady-state reuse
@@ -649,7 +444,7 @@ impl PruneIndex {
     /// score-order half-space *exactly* (the true region for an
     /// unchanged result set is the old one intersected with it — same
     /// argument as `crate::maintenance`). No tree I/O. Resets the
-    /// version-scoped hull and mirror.
+    /// version-scoped mirror.
     pub fn on_insert(&self, rec: &Record) {
         // Phase-2 systems first: maintained even when the skyline was
         // never built (they may exist independently of it).
@@ -718,7 +513,6 @@ impl PruneIndex {
                 state.blocks.remove(id);
             }
             state.blocks.push(rec);
-            state.hull = OnceLock::new();
         }
         state.mirror = OnceLock::new();
         self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -732,7 +526,7 @@ impl PruneIndex {
     /// record are dropped (their exact repair is a recompute); all
     /// others are provably unaffected — a non-contributor's constraint
     /// was redundant, so removing the record leaves the region
-    /// unchanged. Resets the version-scoped hull and mirror. On an
+    /// unchanged. Resets the version-scoped mirror. On an
     /// index error the state is invalidated before the error
     /// propagates — a later snapshot rebuilds from scratch.
     pub fn on_delete(&self, tree: &RTree, id: u64, attrs: &PointD) -> Result<(), RTreeError> {
@@ -758,23 +552,14 @@ impl PruneIndex {
             Some(_) => {
                 let state = Arc::make_mut(arc);
                 state.blocks.remove(id);
-                state.hull = OnceLock::new();
                 state.mirror = OnceLock::new();
-                let mut promoted: SkylineSet<Record> = SkylineSet::new();
-                let mut seen: HashSet<u64> = HashSet::new();
-                let root = vec![(None, tree.root_page())];
-                if let Err(e) = promote_walk(
-                    NodeAccess::Tree(tree),
-                    std::slice::from_ref(attrs),
-                    &state.blocks,
-                    &[],
-                    root,
-                    &mut promoted,
-                    &mut seen,
-                ) {
-                    *guard = None;
-                    return Err(e);
-                }
+                let promoted = match promote_walk(tree, attrs, &state.blocks) {
+                    Ok(promoted) => promoted,
+                    Err(e) => {
+                        *guard = None;
+                        return Err(e);
+                    }
+                };
                 for (_, rec) in promoted.into_entries() {
                     state.blocks.push(&rec);
                 }
@@ -787,17 +572,11 @@ impl PruneIndex {
 
 /// Builds the full-dataset skyline via a root-seeded BBS descent.
 fn build_state(tree: &RTree) -> Result<PruneState, RTreeError> {
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry::Node {
-        page: tree.root_page(),
-        maxscore: f64::INFINITY,
-        mbb: None,
-    });
-    let state = SearchState {
-        heap,
-        leaf_pages_read: 0,
-    };
-    let sky = bbs_skyline(tree, state, &HashSet::new())?;
+    let sky = bbs_skyline(
+        tree,
+        SearchState::from_root(tree.root_page()),
+        &HashSet::new(),
+    )?;
     let d = tree.dim();
     let mut blocks = RecordBlocks::new(d);
     for (_, rec) in sky.into_entries() {
@@ -806,7 +585,6 @@ fn build_state(tree: &RTree) -> Result<PruneState, RTreeError> {
     Ok(PruneState {
         d,
         blocks,
-        hull: OnceLock::new(),
         mirror: OnceLock::new(),
     })
 }
@@ -814,7 +592,7 @@ fn build_state(tree: &RTree) -> Result<PruneState, RTreeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gir_query::{brs_topk, naive_skyline, QueryVector, ScoringFunction};
+    use gir_query::naive_skyline;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
 
     fn setup(n: usize, d: usize, seed: u64) -> (Vec<Record>, RTree) {
@@ -856,38 +634,6 @@ mod tests {
         assert_eq!(stats.builds, 1);
         assert_eq!(stats.serves, 2);
         assert_eq!(stats.skyline_size, state.skyline_len());
-    }
-
-    #[test]
-    fn skyline_excluding_matches_bbs_resume() {
-        let (recs, tree) = setup(1500, 3, 0x12);
-        let index = PruneIndex::new();
-        let state = index.snapshot(&tree).unwrap();
-        let mirror = state.mirror(&tree).unwrap();
-        let f = ScoringFunction::linear(3);
-        for (k, wv) in [(5usize, vec![0.7, 0.4, 0.6]), (20, vec![0.2, 0.9, 0.5])] {
-            let q = QueryVector::new(wv);
-            let (res, brs_state) = brs_topk(&tree, &f, &q.weights, k).unwrap();
-            let result_ids: HashSet<u64> = res.ids().into_iter().collect();
-            let oracle = bbs_skyline(&tree, brs_state.clone(), &result_ids).unwrap();
-            let oracle_ids: Vec<u64> = {
-                let mut v: Vec<u64> = oracle.iter().map(|(_, r)| r.id).collect();
-                v.sort_unstable();
-                v
-            };
-            // Tree-walk form.
-            let got = state.skyline_excluding(&tree, &res, brs_state).unwrap();
-            assert_eq!(sorted_ids(&got.records), oracle_ids, "tree walk, k={k}");
-            // The top result under positive weights is a skyline member:
-            // derivation must have gone through the promotion path.
-            assert!(got.touched);
-            // Mirror form over the mirror's own frontier.
-            let (res_m, frontier) = mirror.topk(&f, &q.weights, k);
-            assert_eq!(res_m.ids(), res.ids());
-            let got_m = state.skyline_excluding_mirror(&mirror, &res_m, frontier);
-            assert_eq!(sorted_ids(&got_m.records), oracle_ids, "mirror walk, k={k}");
-            let _ = &recs;
-        }
     }
 
     #[test]
@@ -953,27 +699,6 @@ mod tests {
         let m1 = state2.mirror(&tree).unwrap();
         assert_eq!(m1.num_records(), tree.len());
         assert_eq!(m1.num_records(), m0.num_records() + 1);
-    }
-
-    #[test]
-    fn hull_ids_are_cached_per_version_and_reset_on_change() {
-        let (_, mut tree) = setup(800, 3, 0x15);
-        let index = PruneIndex::new();
-        let state = index.snapshot(&tree).unwrap();
-        let hull = state.hull_ids().expect("non-degenerate skyline hull");
-        assert!(!hull.is_empty() && hull.len() <= state.skyline_len());
-        // Hull members are skyline members.
-        let sky = sorted_ids(&state.skyline_records());
-        for id in hull {
-            assert!(sky.binary_search(id).is_ok());
-        }
-        // An update produces a new version with a fresh (lazy) hull.
-        let champ = Record::new(900_003, vec![0.99, 0.99, 0.99]);
-        tree.insert(champ.clone()).unwrap();
-        index.on_insert(&champ);
-        let state2 = index.snapshot(&tree).unwrap();
-        let hull2 = state2.hull_ids().expect("hull after update");
-        assert!(hull2.contains(&champ.id));
     }
 
     #[test]

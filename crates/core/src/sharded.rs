@@ -24,13 +24,17 @@
 //! 2. **Per-shard Phase 2** — each shard re-seeds its retained frontier
 //!    with its *leftovers* (shard-ranked records that did not make the
 //!    global result: they are non-result candidates the frontier no
-//!    longer covers) and runs the method's sweep against the global
-//!    `p_k`, reusing its own prune-index state: the cached shard
-//!    skyline (SP), the hull-of-skyline (CP), the skyline-seeded
-//!    incident-facet star (FP), and the shard's shared Phase-2 systems
-//!    keyed by `(method, global result set, p_k)`.
+//!    longer covers) and runs the method's Phase 2 against the global
+//!    `p_k` over its mirror: SP/CP resume BBS from the frontier exactly
+//!    as the cold path does, FP sweeps the frontier with an
+//!    incident-facet star seeded from the cached shard skyline, and a
+//!    recurring `(method, global result set, p_k)` reuses the shard's
+//!    shared Phase-2 system.
 //! 3. **Intersection** — the per-shard half-space systems concatenate
 //!    with the global ordering constraints into one [`GirRegion`].
+//!
+//! A single tree is the S = 1 case: `GirEngine::gir_indexed` is this
+//! plan over one view.
 //!
 //! The produced region is pointwise identical to the single-tree
 //! region: each shard's system bounds exactly the locus where `p_k`
@@ -42,18 +46,19 @@
 //! membership, and reduced facet set — for S ∈ {1,2,4,8} under random
 //! update interleavings.
 
+use crate::cp::cp_phase2;
 use crate::engine::{GirError, GirOutput, GirStats, Method};
 use crate::fullscan::fullscan_phase2;
-use crate::gir_star::{reduced_result, StarFan, StarMethod};
-use crate::mirror::{fp_sweep_mirror, Frontier, FrontierEntry, TreeMirror};
+use crate::gir_star::{reduced_result, star_phase2, StarMethod};
+use crate::mirror::{fp_sweep_mirror, TreeMirror};
 use crate::phase1::ordering_halfspaces;
 use crate::prune::{PruneIndex, PruneState};
 use crate::region::{GirRegion, RegionKind};
-use gir_geometry::hyperplane::{HalfSpace, Provenance};
+use crate::sp::sp_phase2;
+use gir_geometry::hyperplane::HalfSpace;
 use gir_geometry::vector::PointD;
-use gir_query::{QueryVector, Record, ScoringFunction, TopKResult};
-use gir_rtree::{Mbb, NodeEntries, RTree};
-use gir_storage::PageId;
+use gir_query::{QueryVector, Record, ScoringFunction, SearchState, TopKResult};
+use gir_rtree::RTree;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,7 +70,7 @@ use std::time::Instant;
 pub struct ShardView<'a> {
     /// The shard's R\*-tree.
     pub tree: &'a RTree,
-    /// The shard's prune index (skyline, hull, mirror, shared Phase-2
+    /// The shard's prune index (skyline, mirror, shared Phase-2
     /// systems — all scoped to this shard's records).
     pub index: &'a PruneIndex,
 }
@@ -82,16 +87,12 @@ pub fn merge_ranked_lists<'a>(
     runs: impl IntoIterator<Item = &'a TopKResult>,
     k: usize,
 ) -> Vec<(Record, f64)> {
-    let mut merged: Vec<(Record, f64)> = runs
-        .into_iter()
-        .flat_map(|res| res.ranked.iter().cloned())
-        .collect();
+    let mut merged: Vec<&(Record, f64)> = runs.into_iter().flat_map(|res| &res.ranked).collect();
     merged.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| b.0.id.cmp(&a.0.id)));
-    merged.truncate(k);
-    merged
+    merged.into_iter().take(k).cloned().collect()
 }
 
-fn merge_ranked(runs: &[(TopKResult, Frontier<'_>)], k: usize) -> Vec<(Record, f64)> {
+fn merge_ranked(runs: &[(TopKResult, SearchState)], k: usize) -> Vec<(Record, f64)> {
     merge_ranked_lists(runs.iter().map(|(res, _)| res), k)
 }
 
@@ -104,7 +105,7 @@ pub fn topk_sharded(
     k: usize,
 ) -> Result<TopKResult, GirError> {
     let (_states, mirrors) = snapshot_shards(shards)?;
-    let runs: Vec<(TopKResult, Frontier<'_>)> = mirrors
+    let runs: Vec<(TopKResult, SearchState)> = mirrors
         .iter()
         .map(|m| m.topk(scoring, &q.weights, k))
         .collect();
@@ -119,8 +120,7 @@ pub fn topk_sharded(
 type ShardSnapshots = (Vec<Arc<PruneState>>, Vec<Arc<TreeMirror>>);
 
 /// Fetches every shard's prune-index snapshot and decoded mirror (lazy
-/// builds amortize across the queries the version serves, exactly as in
-/// [`crate::engine::GirEngine::gir_indexed`]).
+/// builds amortize across the queries the version serves).
 fn snapshot_shards(shards: &[ShardView<'_>]) -> Result<ShardSnapshots, GirError> {
     let mut states = Vec::with_capacity(shards.len());
     let mut mirrors = Vec::with_capacity(shards.len());
@@ -167,7 +167,7 @@ impl GirPhase2Ctx {
 ///
 /// Returns `(system, structure_size, cache_hit)`.
 #[allow(clippy::too_many_arguments)]
-pub fn shard_gir_system<'a>(
+pub fn shard_gir_system(
     shard: ShardView<'_>,
     state: &PruneState,
     mirror: &TreeMirror,
@@ -176,8 +176,8 @@ pub fn shard_gir_system<'a>(
     method: Method,
     result: &TopKResult,
     ctx: &GirPhase2Ctx,
-    shard_res: &'a TopKResult,
-    mut frontier: Frontier<'a>,
+    shard_res: &TopKResult,
+    mut frontier: SearchState,
 ) -> Result<(Arc<Vec<HalfSpace>>, usize, bool), GirError> {
     // Shard-ranked records that did not make the global result are
     // non-result candidates the retained frontier no longer covers
@@ -185,13 +185,7 @@ pub fn shard_gir_system<'a>(
     // global-result member of this shard *was* popped by the shard's
     // own top-k (its score is ≥ the global k-th score), so the
     // adjusted frontier covers exactly `D_s \ R`.
-    for (rec, score) in &shard_res.ranked {
-        if !ctx.result_id_set.contains(&rec.id) {
-            frontier
-                .heap
-                .push(FrontierEntry::Rec { rec, score: *score });
-        }
-    }
+    frontier.reseed(shard_res, |id| !ctx.result_id_set.contains(&id));
 
     if method == Method::FullScan {
         let (hs, st) = fullscan_phase2(shard.tree, scoring, &ctx.kth, &ctx.result_id_set)?;
@@ -212,9 +206,8 @@ pub fn shard_gir_system<'a>(
     let (phase2, structure) = match lookup {
         Some(hit) => hit,
         None => {
-            let (hs, structure) = shard_phase2(
-                scoring, q, method, state, mirror, &ctx.kth, result, frontier,
-            );
+            let (hs, structure) =
+                shard_phase2(scoring, q, method, state, mirror, result, ctx, frontier)?;
             let hs = Arc::new(hs);
             shard.index.phase2_admit(
                 RegionKind::Gir,
@@ -256,8 +249,10 @@ pub fn gir_sharded(
         assert_eq!(s.tree.dim(), d, "shard dimensionality mismatch");
     }
 
-    // Shared-state fetch first, then I/O counters (as in `gir_indexed`:
-    // lazy index builds are amortized, not charged to this query).
+    // Shared-state fetch first, then I/O counters: lazy index builds are
+    // amortized across the queries the version serves, not charged to
+    // this query, so `topk_pages`/`gir_pages` stay comparable with
+    // `GirEngine::gir`.
     let (states, mirrors) = snapshot_shards(shards)?;
     let io_before: Vec<_> = shards.iter().map(|s| s.tree.store().stats()).collect();
 
@@ -270,7 +265,7 @@ pub fn gir_sharded(
     // Per-shard BRS fans out across the pool; results come back in
     // shard order (the pool preserves item order), so the merge below
     // sees exactly the sequential input.
-    let runs: Vec<(TopKResult, Frontier<'_>)> =
+    let runs: Vec<(TopKResult, SearchState)> =
         crate::pool::fan_out(mirrors.iter().map(Arc::as_ref).collect(), work, |si, m| {
             let _s = tracing::span!("shard_topk", shard = si);
             m.topk(scoring, &q.weights, k)
@@ -360,10 +355,9 @@ pub fn gir_sharded(
     })
 }
 
-/// One shard's Phase-2 sweep against the *global* pivot: the shard's
-/// contribution to the intersection, mirroring the per-method logic of
-/// `GirEngine::gir_indexed` with the global result substituted for the
-/// shard's own.
+/// One shard's Phase 2 against the *global* pivot: the shard's
+/// contribution to the intersection. SP and CP are the cold path's
+/// resumed BBS over the mirror; FP is the skyline-seeded star sweep.
 #[allow(clippy::too_many_arguments)]
 fn shard_phase2(
     scoring: &ScoringFunction,
@@ -371,13 +365,14 @@ fn shard_phase2(
     method: Method,
     state: &PruneState,
     mirror: &TreeMirror,
-    kth: &Record,
     result: &TopKResult,
-    frontier: Frontier<'_>,
-) -> (Vec<HalfSpace>, usize) {
-    let result_ids = result.ids();
-    match method {
+    ctx: &GirPhase2Ctx,
+    frontier: SearchState,
+) -> Result<(Vec<HalfSpace>, usize), GirError> {
+    let kth = &ctx.kth;
+    Ok(match method {
         Method::FacetPruning => {
+            let result_ids = result.ids();
             let blocks = state.skyline_blocks();
             let seeds: Vec<Record> = blocks.materialize_if(|id| !result_ids.contains(&id));
             // Fused columnar scoring of the seed set; `linear_scores`
@@ -391,30 +386,16 @@ fn shard_phase2(
             });
             fp_sweep_mirror(mirror, kth, frontier, &seeds, &seed_scores, &result_ids)
         }
-        Method::SkylinePruning | Method::ConvexHullPruning => {
-            let pk_t = scoring.transform_point(&kth.attrs);
-            let sky = state.skyline_excluding_mirror(mirror, result, frontier);
-            let structure = sky.records.len();
-            let halfspace = |rec: &Record| {
-                HalfSpace::score_order(
-                    &pk_t,
-                    &scoring.transform_point(&rec.attrs),
-                    Provenance::NonResult { record_id: rec.id },
-                )
-            };
-            let hs: Vec<HalfSpace> = if method == Method::SkylinePruning {
-                sky.records.iter().map(halfspace).collect()
-            } else {
-                state
-                    .hull_candidates(&sky)
-                    .into_iter()
-                    .map(halfspace)
-                    .collect()
-            };
-            (hs, structure)
+        Method::SkylinePruning => {
+            let (hs, st) = sp_phase2(mirror, scoring, kth, frontier, &ctx.result_id_set)?;
+            (hs, st.structure_size)
+        }
+        Method::ConvexHullPruning => {
+            let (hs, st) = cp_phase2(mirror, scoring, kth, frontier, &ctx.result_id_set)?;
+            (hs, st.structure_size)
         }
         Method::FullScan => unreachable!("handled by the caller"),
-    }
+    })
 }
 
 /// Computes the global top-k and its order-insensitive GIR\* (§7.1)
@@ -432,8 +413,8 @@ fn shard_phase2(
 /// plan mirrors [`gir_sharded`]: the merge phase is identical (global
 /// `R`, and hence `R⁻`, must exist before any shard runs Phase 2), and
 /// each shard then runs the *star* form of the method's sweep against
-/// the global pivots — SP/CP derive `skyline(D_s \ R)` from the shard's
-/// cached skyline and emit one condition per `(pivot, candidate)` pair,
+/// the global pivots — SP/CP resume BBS from the shard's frontier and
+/// emit one condition per `(pivot, skyline candidate)` pair,
 /// FP maintains one incident-facet star **per `R⁻` member** over the
 /// shard's re-seeded frontier, pruning a node only when *every* star
 /// prunes it. Per-shard systems are cached in the shard's prune index
@@ -476,7 +457,7 @@ pub fn gir_star_sharded(
 
     let t0 = Instant::now();
     // Parallel per-shard BRS, results in shard order (see `gir_sharded`).
-    let runs: Vec<(TopKResult, Frontier<'_>)> =
+    let runs: Vec<(TopKResult, SearchState)> =
         crate::pool::fan_out(mirrors.iter().map(Arc::as_ref).collect(), work, |si, m| {
             let _s = tracing::span!("shard_topk", shard = si);
             m.topk(scoring, &q.weights, k)
@@ -511,7 +492,6 @@ pub fn gir_star_sharded(
                 scoring,
                 star_method,
                 method,
-                &result,
                 &ctx,
                 &shard_res,
                 frontier,
@@ -566,8 +546,8 @@ pub fn gir_star_sharded(
 pub struct StarPhase2Ctx {
     /// Result-side reduced result `R⁻`: `(rank, record)` pivots.
     pub r_minus: Vec<(usize, Record)>,
-    /// Transformed per-rank pivots (Phase-2 input and the cache
-    /// entries' maintenance state).
+    /// Transformed per-rank pivots (the cache entries' maintenance
+    /// state).
     pub pivots_t: Vec<(usize, PointD)>,
     /// The global `p_k`.
     pub kth: Record,
@@ -602,28 +582,21 @@ impl StarPhase2Ctx {
 /// shared verbatim by the in-process fan-out and the distributed shard
 /// worker. Returns `(system, structure_size, cache_hit)`.
 #[allow(clippy::too_many_arguments)]
-pub fn shard_star_system<'a>(
+pub fn shard_star_system(
     shard: ShardView<'_>,
     state: &PruneState,
     mirror: &TreeMirror,
     scoring: &ScoringFunction,
     star_method: StarMethod,
     method: Method,
-    result: &TopKResult,
     ctx: &StarPhase2Ctx,
-    shard_res: &'a TopKResult,
-    mut frontier: Frontier<'a>,
+    shard_res: &TopKResult,
+    mut frontier: SearchState,
 ) -> (Arc<Vec<HalfSpace>>, usize, bool) {
     // Re-seed shard-ranked records that missed the global result,
     // exactly as in `gir_sharded`: they are non-result candidates
     // the retained frontier no longer covers.
-    for (rec, score) in &shard_res.ranked {
-        if !ctx.result_id_set.contains(&rec.id) {
-            frontier
-                .heap
-                .push(FrontierEntry::Rec { rec, score: *score });
-        }
-    }
+    frontier.reseed(shard_res, |id| !ctx.result_id_set.contains(&id));
 
     let lookup = shard.index.phase2_lookup(
         RegionKind::GirStar,
@@ -636,17 +609,26 @@ pub fn shard_star_system<'a>(
     let (phase2, structure) = match lookup {
         Some(hit) => hit,
         None => {
-            let (hs, structure) = shard_star_phase2(
-                scoring,
-                star_method,
-                state,
+            // Only the star sweep seeds from the cached shard skyline;
+            // SP/CP resume BBS from the frontier.
+            let seeds: Vec<Record> = if star_method == StarMethod::Facet {
+                state
+                    .skyline_blocks()
+                    .materialize_if(|id| !ctx.result_id_set.contains(&id))
+            } else {
+                Vec::new()
+            };
+            let (hs, st) = star_phase2(
                 mirror,
-                &ctx.pivots_t,
+                scoring,
                 &ctx.r_minus,
-                result,
-                &ctx.result_id_set,
                 frontier,
-            );
+                &ctx.result_id_set,
+                star_method,
+                &seeds,
+            )
+            .expect("mirror reads perform no I/O");
+            let structure = st.structure_size;
             let hs = Arc::new(hs);
             shard.index.phase2_admit(
                 RegionKind::GirStar,
@@ -663,122 +645,6 @@ pub fn shard_star_system<'a>(
         }
     };
     (phase2, structure, cached)
-}
-
-/// One shard's GIR\* Phase 2 against the global `R⁻` pivots: the star
-/// form of [`shard_phase2`]. SP emits every `(pivot, skyline-candidate)`
-/// condition; CP hull-filters the candidates first (reusing the cached
-/// hull-of-skyline when the result left the shard skyline untouched);
-/// FP runs the concurrent incident-facet stars over the shard's mirror.
-#[allow(clippy::too_many_arguments)]
-fn shard_star_phase2(
-    scoring: &ScoringFunction,
-    star_method: StarMethod,
-    state: &PruneState,
-    mirror: &TreeMirror,
-    pivots_t: &[(usize, PointD)],
-    r_minus: &[(usize, Record)],
-    result: &TopKResult,
-    result_id_set: &HashSet<u64>,
-    frontier: Frontier<'_>,
-) -> (Vec<HalfSpace>, usize) {
-    match star_method {
-        StarMethod::Skyline | StarMethod::ConvexHull => {
-            let sky = state.skyline_excluding_mirror(mirror, result, frontier);
-            let structure = sky.records.len();
-            let kept: Vec<&Record> = if star_method == StarMethod::Skyline {
-                sky.records.iter().collect()
-            } else {
-                state.hull_candidates(&sky)
-            };
-            let mut hs = Vec::with_capacity(kept.len() * pivots_t.len());
-            for (rank, pi_t) in pivots_t {
-                for p in &kept {
-                    hs.push(HalfSpace::score_order(
-                        pi_t,
-                        &scoring.transform_point(&p.attrs),
-                        Provenance::StarNonResult {
-                            rank: *rank,
-                            record_id: p.id,
-                        },
-                    ));
-                }
-            }
-            (hs, structure)
-        }
-        StarMethod::Facet => {
-            let seeds: Vec<Record> = state
-                .skyline_blocks()
-                .materialize_if(|id| !result_id_set.contains(&id));
-            fp_star_sweep_mirror(mirror, r_minus, frontier, &seeds, result_id_set)
-        }
-    }
-}
-
-/// The concurrent incident-facet stars (one per `R⁻` member) swept over
-/// a decoded shard mirror: the zero-I/O, skyline-seeded form of the
-/// single-tree GIR\* FP sweep, sharing its feed/prune/emit rules
-/// through [`StarFan`]. Returns the per-star critical half-spaces and
-/// the total facet count.
-fn fp_star_sweep_mirror(
-    mirror: &TreeMirror,
-    r_minus: &[(usize, Record)],
-    frontier: Frontier<'_>,
-    seeds: &[Record],
-    exclude: &HashSet<u64>,
-) -> (Vec<HalfSpace>, usize) {
-    let mut fan = StarFan::new(r_minus);
-
-    // Candidates best-first by coordinate sum — the multi-pivot proxy
-    // order of the single-tree sweep (no single query score ranks
-    // candidates for every star at once).
-    let mut cands: Vec<&Record> = seeds.iter().filter(|r| !exclude.contains(&r.id)).collect();
-    let mut nodes: Vec<(Option<&Mbb>, PageId)> = Vec::new();
-    for entry in frontier.heap.into_vec() {
-        match entry {
-            FrontierEntry::Rec { rec, .. } => {
-                if !exclude.contains(&rec.id) {
-                    cands.push(rec);
-                }
-            }
-            FrontierEntry::Node { page, mbb, .. } => nodes.push((mbb, page)),
-        }
-    }
-    cands.sort_by(|a, b| {
-        let sa: f64 = a.attrs.coords().iter().sum();
-        let sb: f64 = b.attrs.coords().iter().sum();
-        sb.partial_cmp(&sa).expect("non-NaN")
-    });
-    let feed: Vec<(&PointD, u64)> = cands.iter().map(|r| (&r.attrs, r.id)).collect();
-    fan.feed_all(&feed);
-
-    let mut stack = nodes;
-    while let Some((mbb, page)) = stack.pop() {
-        if let Some(m) = mbb {
-            if fan.prunes_mbb(m) {
-                continue;
-            }
-        }
-        match mirror.node(page) {
-            NodeEntries::Internal(children) => {
-                for (child_mbb, child) in children {
-                    if !fan.prunes_mbb(child_mbb) {
-                        stack.push((Some(child_mbb), *child));
-                    }
-                }
-            }
-            NodeEntries::Leaf(records) => {
-                for rec in records {
-                    if !exclude.contains(&rec.id) {
-                        fan.feed(&rec.attrs, rec.id);
-                    }
-                }
-            }
-        }
-    }
-
-    let (halfspaces, _critical, facets) = fan.finish();
-    (halfspaces, facets)
 }
 
 #[cfg(test)]

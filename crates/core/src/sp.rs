@@ -10,7 +10,7 @@
 
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_query::{bbs_skyline, Record, ScoringFunction, SearchState};
-use gir_rtree::{RTree, RTreeError};
+use gir_rtree::{NodeSource, RTreeError};
 use std::collections::HashSet;
 
 /// Phase 2 statistics shared by all methods.
@@ -25,15 +25,15 @@ pub struct Phase2Stats {
 }
 
 /// SP Phase 2: half-spaces `(p_k − p) · q' ≥ 0` for every skyline record
-/// `p` of `D\R`.
-pub fn sp_phase2(
-    tree: &RTree,
+/// `p` of `D\R`, the skyline resumed from `state` over `src`.
+pub fn sp_phase2<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     kth: &Record,
     state: SearchState,
     result_ids: &HashSet<u64>,
 ) -> Result<(Vec<HalfSpace>, Phase2Stats), RTreeError> {
-    let sky = bbs_skyline(tree, state, result_ids)?;
+    let sky = bbs_skyline(src, state, result_ids)?;
     let pk_t = scoring.transform_point(&kth.attrs);
     let mut halfspaces = Vec::with_capacity(sky.len());
     for (_, rec) in sky.iter() {
@@ -53,12 +53,12 @@ pub fn sp_phase2(
 
 /// Returns the skyline records themselves (shared by CP, which prunes
 /// them further, and by GIR\*, which reuses one skyline for all `GIR_i`).
-pub fn sp_skyline_records(
-    tree: &RTree,
+pub fn sp_skyline_records<S: NodeSource + ?Sized>(
+    src: &S,
     state: SearchState,
     result_ids: &HashSet<u64>,
 ) -> Result<Vec<Record>, RTreeError> {
-    let sky = bbs_skyline(tree, state, result_ids)?;
+    let sky = bbs_skyline(src, state, result_ids)?;
     Ok(sky.into_entries().into_iter().map(|(_, r)| r).collect())
 }
 
@@ -67,6 +67,7 @@ mod tests {
     use super::*;
     use gir_geometry::vector::PointD;
     use gir_query::brs_topk;
+    use gir_rtree::RTree;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
     use std::sync::Arc;
 

@@ -15,6 +15,7 @@ use crate::hyperplane::HalfSpace;
 use crate::lp::{chebyshev_center_view, ConsView};
 use crate::vector::PointD;
 use crate::{EPS, LOOSE_EPS};
+use std::borrow::Cow;
 
 /// Result of intersecting half-spaces.
 #[derive(Debug, Clone)]
@@ -75,10 +76,28 @@ pub fn intersect_halfspaces(
         .map(|h| h.normal.dim())
         .expect("at least one half-space");
 
+    // A zero normal has no dual point: `0 ≤ offset` is vacuous, and
+    // `offset < 0` empties the region. (A non-result record with `p_k`'s
+    // attributes yields the vacuous kind.) `kept` maps the remaining
+    // half-spaces back to their input indices.
+    let mut kept: Vec<usize> = Vec::with_capacity(halfspaces.len());
+    for (i, h) in halfspaces.iter().enumerate() {
+        if h.normal.coords().iter().any(|&c| c != 0.0) {
+            kept.push(i);
+        } else if h.offset < 0.0 {
+            return Err(IntersectError::Empty);
+        }
+    }
+    let active: Cow<'_, [HalfSpace]> = if kept.len() == halfspaces.len() {
+        Cow::Borrowed(halfspaces)
+    } else {
+        Cow::Owned(kept.iter().map(|&i| halfspaces[i].clone()).collect())
+    };
+
     let interior = match interior_hint {
-        Some(x0) if min_slack(halfspaces, x0) > FLAT_TOL => x0.clone(),
+        Some(x0) if min_slack(&active, x0) > FLAT_TOL => x0.clone(),
         _ => {
-            let (c, r) = chebyshev_center_view(ConsView::Half(halfspaces), 0.0, 1.0, d)
+            let (c, r) = chebyshev_center_view(ConsView::Half(&active), 0.0, 1.0, d)
                 .ok_or(IntersectError::Empty)?;
             if r <= FLAT_TOL {
                 return Err(IntersectError::Flat);
@@ -89,8 +108,8 @@ pub fn intersect_halfspaces(
 
     // Dual transform. Half-spaces with huge dual norm (tiny slack at the
     // interior point) are kept — they are the tightest constraints.
-    let mut duals: Vec<PointD> = Vec::with_capacity(halfspaces.len());
-    for h in halfspaces {
+    let mut duals: Vec<PointD> = Vec::with_capacity(active.len());
+    for h in active.iter() {
         let slack = h.offset - h.normal.dot(&interior);
         debug_assert!(slack > 0.0, "interior point not strictly interior");
         duals.push(h.normal.scale(1.0 / slack.max(FLAT_TOL)));
@@ -116,7 +135,7 @@ pub fn intersect_halfspaces(
     }
 
     // Dual hull vertices → primal facets (non-redundant half-spaces).
-    let nonredundant = hull.vertex_indices();
+    let nonredundant = hull.vertex_indices().into_iter().map(|i| kept[i]).collect();
 
     Ok(HalfspaceIntersection {
         vertices,
@@ -206,6 +225,29 @@ mod tests {
     fn empty_intersection() {
         let mut cons = unit_box(2);
         cons.push(hs(&[1.0, 0.0], -0.5)); // x ≤ -0.5
+        assert_eq!(
+            intersect_halfspaces(&cons, None).unwrap_err(),
+            IntersectError::Empty
+        );
+    }
+
+    #[test]
+    fn zero_normal_is_vacuous_or_empty() {
+        // `0 · x ≤ 0` (a duplicate record's score-order condition) is
+        // dropped; the facet indices still name the input slice.
+        let mut cons = vec![hs(&[0.0, 0.0], 0.0)];
+        cons.extend(unit_box(2));
+        cons.push(hs(&[-2.0, 1.0], 0.0));
+        let hint = PointD::new(vec![0.6, 0.6]);
+        let r = intersect_halfspaces(&cons, Some(&hint)).unwrap();
+        let mut facets = r.nonredundant.clone();
+        facets.sort_unstable();
+        assert!(!facets.contains(&0), "vacuous half-space reported");
+        assert!(facets.contains(&5), "the wedge cut must be a facet");
+        assert_eq!(r.vertices.len(), 4, "vertices: {:?}", r.vertices);
+        // `0 · x ≤ -1` admits nothing.
+        let mut cons = unit_box(2);
+        cons.push(hs(&[0.0, 0.0], -1.0));
         assert_eq!(
             intersect_halfspaces(&cons, None).unwrap_err(),
             IntersectError::Empty

@@ -11,79 +11,117 @@
 //! (with all not-yet-popped node and record entries) seeds Phase 2, and
 //! the record entries still in the heap are exactly the set `T` of
 //! non-result records already fetched into memory.
+//!
+//! [`brs_topk`] is the one traversal loop, generic over where nodes come
+//! from ([`NodeSource`]): the live tree counts a logical page read per
+//! node, a decoded snapshot reads nothing. The [`SearchState`] pins the
+//! `Arc<Node>`s it opened and its heap names records and child boxes by
+//! their position in those nodes, so building the frontier copies no
+//! `Record` and no `Mbb`.
 
 use crate::score::ScoringFunction;
 use gir_geometry::vector::PointD;
-use gir_rtree::{Mbb, NodeEntries, RTree, RTreeError, Record};
+use gir_rtree::{Mbb, Node, NodeEntries, NodeSource, RTreeError, Record};
 use gir_storage::PageId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
+
+/// The position of an entry inside the search: entry `slot` of the
+/// `node`-th node the search pinned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Index into the search's pinned nodes.
+    pub node: u32,
+    /// Entry index inside that node.
+    pub slot: u32,
+}
 
 /// A heap entry: an R-tree node awaiting expansion, or a record awaiting
 /// reporting. Ordered by score bound (max-heap), ties broken
-/// deterministically (records before nodes, then by id).
-#[derive(Debug, Clone)]
-pub enum HeapEntry {
-    /// An R-tree node with its maxscore bound.
-    Node {
-        /// Page id of the node.
-        page: PageId,
-        /// Upper bound on the score of any record below this node.
-        maxscore: f64,
-        /// The node's MBB as recorded in its parent entry (`None` only for
-        /// the root). Phase 2 algorithms use it to prune nodes *without*
-        /// fetching them (paper §6.2: "if the MBB of the node lies
-        /// completely below the interim facets, we prune it").
-        mbb: Option<Mbb>,
-    },
-    /// A data record with its exact score.
-    Rec {
-        /// The record.
-        record: Record,
-        /// Its exact score under the current query.
-        score: f64,
-    },
+/// deterministically (records before nodes, then by id or page). A flat
+/// struct rather than an enum, so a heap comparison reads fixed fields.
+#[derive(Debug, Clone, Copy)]
+pub struct HeapEntry {
+    /// Upper bound on the score of any record below a node, or a
+    /// record's exact score under the current query.
+    pub key: f64,
+    /// The record id or the node's page (the tie-break).
+    pub id: u64,
+    /// A record's position in its pinned leaf, or where a node's MBB
+    /// sits in its parent ([`ROOT`] for the root). Phase 2 algorithms
+    /// use the MBB to prune nodes *without* fetching them (paper §6.2:
+    /// "if the MBB of the node lies completely below the interim
+    /// facets, we prune it").
+    pub at: Slot,
+    /// True for a record, false for a node.
+    pub record: bool,
 }
 
+/// The `at` of the root entry, which has no parent.
+pub const ROOT: Slot = Slot {
+    node: u32::MAX,
+    slot: u32::MAX,
+};
+
 impl HeapEntry {
-    /// The heap key (score bound).
-    pub fn key(&self) -> f64 {
-        match self {
-            HeapEntry::Node { maxscore, .. } => *maxscore,
-            HeapEntry::Rec { score, .. } => *score,
+    /// A node entry for `page` under bound `maxscore`.
+    #[inline]
+    pub fn node(page: PageId, maxscore: f64, parent: Slot) -> HeapEntry {
+        HeapEntry {
+            key: maxscore,
+            id: page,
+            at: parent,
+            record: false,
         }
     }
 
-    fn tiebreak(&self) -> (u8, u64) {
-        match self {
-            // Records first on equal keys: their key is exact.
-            HeapEntry::Rec { record, .. } => (1, record.id),
-            HeapEntry::Node { page, .. } => (0, *page),
+    /// A record entry with its exact score.
+    #[inline]
+    pub fn rec(id: u64, score: f64, at: Slot) -> HeapEntry {
+        HeapEntry {
+            key: score,
+            id,
+            at,
+            record: true,
         }
+    }
+
+    /// Where a node entry's MBB sits, `None` for the root.
+    #[inline]
+    pub fn parent(&self) -> Option<Slot> {
+        (self.at != ROOT).then_some(self.at)
     }
 }
 
 impl PartialEq for HeapEntry {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
 impl PartialOrd for HeapEntry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for HeapEntry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key()
-            .total_cmp(&other.key())
-            .then_with(|| self.tiebreak().cmp(&other.tiebreak()))
+        // Records first on equal keys: their key is exact.
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| (self.record, self.id).cmp(&(other.record, other.id)))
     }
 }
 
+/// A node still to be swept: its page and where its MBB sits.
+pub type Pending = (PageId, Option<Slot>);
+
 /// The retained BRS search state, consumed by Phase 2 (§3.3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchState {
     /// The search heap at termination: unexpanded nodes plus encountered
     /// non-result records, all keyed by (max)score.
@@ -91,16 +129,140 @@ pub struct SearchState {
     /// Leaf pages fetched during the search (their records are already in
     /// the heap; Phase 2 never re-reads them).
     pub leaf_pages_read: u64,
+    /// Every node the search (and any sweep over it) opened.
+    nodes: Vec<Arc<Node>>,
+    /// Where the ranked records sit, best first.
+    ranked: Vec<Slot>,
 }
 
 impl SearchState {
+    /// A search that has opened nothing: only the root awaits expansion.
+    pub fn from_root(root: PageId) -> SearchState {
+        let mut state = SearchState::default();
+        state.heap.push(HeapEntry::node(root, f64::INFINITY, ROOT));
+        state
+    }
+
+    /// Reads `page` through `src` and pins it; returns its node index.
+    pub fn open<S: NodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        page: PageId,
+    ) -> Result<u32, RTreeError> {
+        self.nodes.push(src.node(page)?);
+        Ok(self.nodes.len() as u32 - 1)
+    }
+
+    /// The entries of pinned node `node`.
+    #[inline]
+    pub fn entries(&self, node: u32) -> &NodeEntries {
+        &self.nodes[node as usize].entries
+    }
+
+    /// The record at `at`.
+    #[inline]
+    pub fn record(&self, at: Slot) -> &Record {
+        match self.entries(at.node) {
+            NodeEntries::Leaf(records) => &records[at.slot as usize],
+            NodeEntries::Internal(_) => unreachable!("a record slot names a leaf"),
+        }
+    }
+
+    /// The child MBB at `at`.
+    #[inline]
+    pub fn mbb(&self, at: Slot) -> &Mbb {
+        match self.entries(at.node) {
+            NodeEntries::Internal(children) => &children[at.slot as usize].0,
+            NodeEntries::Leaf(_) => unreachable!("a child slot names an internal node"),
+        }
+    }
+
     /// The set `T`: non-result records already fetched into memory by BRS
     /// (the record entries remaining in the heap).
     pub fn encountered_records(&self) -> impl Iterator<Item = &Record> {
-        self.heap.iter().filter_map(|e| match e {
-            HeapEntry::Rec { record, .. } => Some(record),
-            HeapEntry::Node { .. } => None,
-        })
+        self.heap
+            .iter()
+            .filter(|e| e.record)
+            .map(|e| self.record(e.at))
+    }
+
+    /// Pushes back the ranked records of this search that `keep`
+    /// selects, with their scores from `ranked` — the result this
+    /// search returned. A shard re-seeds the records it ranked that
+    /// missed the global result: they are non-result candidates the
+    /// frontier no longer covers.
+    pub fn reseed(&mut self, ranked: &TopKResult, keep: impl Fn(u64) -> bool) {
+        debug_assert_eq!(ranked.len(), self.ranked.len());
+        for ((rec, score), &at) in ranked.ranked.iter().zip(&self.ranked) {
+            if keep(rec.id) {
+                self.heap.push(HeapEntry::rec(rec.id, *score, at));
+            }
+        }
+    }
+
+    /// Empties the heap into its record entries `(position, score)` and
+    /// its node entries, each in heap order.
+    pub fn drain(&mut self) -> (Vec<(Slot, f64)>, Vec<Pending>) {
+        let mut records = Vec::new();
+        let mut nodes = Vec::new();
+        for e in self.heap.drain() {
+            if e.record {
+                records.push((e.at, e.key));
+            } else {
+                nodes.push((e.id, e.parent()));
+            }
+        }
+        (records, nodes)
+    }
+
+    /// Depth-first sweep of the subtrees under `stack`. A node whose
+    /// MBB `prunes` is skipped, tested when it is pushed and again when
+    /// it is popped (the pruning structure tightens in between); every
+    /// other node is opened through `src`, and its leaf records are
+    /// handed to `visit`. `cx` is the structure both callbacks share.
+    /// Returns `(nodes opened, nodes pruned)`.
+    pub fn sweep<S: NodeSource + ?Sized, C>(
+        &mut self,
+        src: &S,
+        mut stack: Vec<Pending>,
+        cx: &mut C,
+        mut prunes: impl FnMut(&mut C, &Mbb) -> bool,
+        mut visit: impl FnMut(&mut C, &Record),
+    ) -> Result<(usize, usize), RTreeError> {
+        let (mut opened, mut pruned) = (0usize, 0usize);
+        while let Some((page, parent)) = stack.pop() {
+            if let Some(at) = parent {
+                if prunes(cx, self.mbb(at)) {
+                    pruned += 1;
+                    continue;
+                }
+            }
+            opened += 1;
+            let node = self.open(src, page)?;
+            match self.entries(node) {
+                NodeEntries::Internal(children) => {
+                    for (slot, (mbb, child)) in children.iter().enumerate() {
+                        if prunes(cx, mbb) {
+                            pruned += 1;
+                        } else {
+                            stack.push((
+                                *child,
+                                Some(Slot {
+                                    node,
+                                    slot: slot as u32,
+                                }),
+                            ));
+                        }
+                    }
+                }
+                NodeEntries::Leaf(records) => {
+                    for rec in records {
+                        visit(cx, rec);
+                    }
+                }
+            }
+        }
+        Ok((opened, pruned))
     }
 }
 
@@ -138,78 +300,80 @@ impl TopKResult {
     }
 }
 
-/// Runs BRS, returning the top-k result and the retained search state.
+/// Runs BRS over `src`, returning the top-k result and the retained
+/// search state. Emits one `brs_visit` event (nodes opened, records
+/// scored) per run.
 ///
 /// When the dataset holds fewer than `k` records, all of them are
 /// returned.
-pub fn brs_topk(
-    tree: &RTree,
+pub fn brs_topk<S: NodeSource + ?Sized>(
+    src: &S,
     scoring: &ScoringFunction,
     weights: &PointD,
     k: usize,
 ) -> Result<(TopKResult, SearchState), RTreeError> {
     assert!(k >= 1, "k must be at least 1");
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    let mut state = SearchState::from_root(src.root());
     let mut ranked: Vec<(Record, f64)> = Vec::with_capacity(k);
-    let mut leaf_pages_read = 0u64;
     let mut scores: Vec<f64> = Vec::new();
+    // Plain locals, reported once at the end: BRS cost accounting for
+    // EXPLAIN/metrics without per-visit dispatch.
+    let mut nodes_visited = 0u64;
+    let mut leaves_scanned = 0u64;
 
-    heap.push(HeapEntry::Node {
-        page: tree.root_page(),
-        maxscore: f64::INFINITY,
-        mbb: None,
-    });
-
-    while let Some(entry) = heap.pop() {
-        match entry {
-            HeapEntry::Rec { record, score } => {
-                ranked.push((record, score));
-                if ranked.len() == k {
-                    break;
-                }
+    while let Some(entry) = state.heap.pop() {
+        if entry.record {
+            ranked.push((state.record(entry.at).clone(), entry.key));
+            state.ranked.push(entry.at);
+            if ranked.len() == k {
+                break;
             }
-            HeapEntry::Node { page, .. } => {
-                match &tree.read_node(page)?.entries {
-                    NodeEntries::Internal(children) => {
-                        for (mbb, child) in children {
-                            let maxscore = scoring.maxscore(weights, mbb);
-                            heap.push(HeapEntry::Node {
-                                page: *child,
-                                maxscore,
-                                mbb: Some(mbb.clone()),
-                            });
-                        }
+        } else {
+            let node = state.open(src, entry.id)?;
+            nodes_visited += 1;
+            let SearchState {
+                heap,
+                nodes,
+                leaf_pages_read,
+                ..
+            } = &mut state;
+            match &nodes[node as usize].entries {
+                NodeEntries::Internal(children) => {
+                    for (slot, (mbb, child)) in children.iter().enumerate() {
+                        let at = Slot {
+                            node,
+                            slot: slot as u32,
+                        };
+                        heap.push(HeapEntry::node(*child, scoring.maxscore(weights, mbb), at));
                     }
-                    NodeEntries::Leaf(records) => {
-                        leaf_pages_read += 1;
-                        // One fused scoring pass over the leaf's records
-                        // (columnar multiply-add for linear scoring).
-                        scoring.scores_into(weights, records, &mut scores);
-                        for (record, &score) in records.iter().zip(scores.iter()) {
-                            heap.push(HeapEntry::Rec {
-                                record: record.clone(),
-                                score,
-                            });
-                        }
+                }
+                NodeEntries::Leaf(records) => {
+                    *leaf_pages_read += 1;
+                    leaves_scanned += records.len() as u64;
+                    // One fused scoring pass over the leaf's records
+                    // (columnar multiply-add for linear scoring).
+                    scoring.scores_into(weights, records, &mut scores);
+                    for (slot, (record, &score)) in records.iter().zip(&scores).enumerate() {
+                        let at = Slot {
+                            node,
+                            slot: slot as u32,
+                        };
+                        heap.push(HeapEntry::rec(record.id, score, at));
                     }
                 }
             }
         }
     }
+    tracing::event!("brs_visit", nodes = nodes_visited, leaves = leaves_scanned);
 
-    Ok((
-        TopKResult { ranked },
-        SearchState {
-            heap,
-            leaf_pages_read,
-        },
-    ))
+    Ok((TopKResult { ranked }, state))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_topk;
+    use gir_rtree::RTree;
     use gir_storage::{MemPageStore, PageStore, PAGE_SIZE};
     use std::sync::Arc;
 
@@ -316,15 +480,8 @@ mod tests {
 
     #[test]
     fn heap_entry_ordering_prefers_records_on_ties() {
-        let rec = HeapEntry::Rec {
-            record: Record::new(1, vec![0.5, 0.5]),
-            score: 1.0,
-        };
-        let node = HeapEntry::Node {
-            page: 9,
-            maxscore: 1.0,
-            mbb: None,
-        };
+        let rec = HeapEntry::rec(1, 1.0, Slot { node: 0, slot: 0 });
+        let node = HeapEntry::node(9, 1.0, ROOT);
         assert!(rec > node);
     }
 }

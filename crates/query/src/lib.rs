@@ -19,7 +19,7 @@ pub mod score;
 pub mod skyline;
 pub mod soa;
 
-pub use brs::{brs_topk, HeapEntry, SearchState, TopKResult};
+pub use brs::{brs_topk, HeapEntry, Pending, SearchState, Slot, TopKResult, ROOT};
 pub use naive::{naive_skyline, naive_topk};
 pub use rtree_reexports::*;
 pub use score::{QueryVector, ScoringFunction, Transform};

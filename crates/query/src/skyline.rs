@@ -8,66 +8,71 @@
 //! continues exactly where top-k search stopped, re-using every page BRS
 //! already fetched.
 
-use crate::brs::{HeapEntry, SearchState};
+use crate::brs::{HeapEntry, SearchState, Slot};
 use gir_geometry::dominance::SkylineSet;
-use gir_rtree::{NodeEntries, RTree, RTreeError, Record};
+use gir_rtree::{NodeEntries, NodeSource, RTreeError, Record};
 use std::collections::HashSet;
 
 /// Computes the skyline of `D \ R` (all non-result records), consuming
-/// the retained BRS search state.
+/// the retained BRS search state and opening further nodes through
+/// `src`.
 ///
 /// `result_ids` identifies the top-k result records, which are excluded
 /// from the skyline (but naturally never prune anything: they are not
 /// inserted).
-pub fn bbs_skyline(
-    tree: &RTree,
+pub fn bbs_skyline<S: NodeSource + ?Sized>(
+    src: &S,
     mut state: SearchState,
     result_ids: &HashSet<u64>,
 ) -> Result<SkylineSet<Record>, RTreeError> {
     let mut sky: SkylineSet<Record> = SkylineSet::new();
+    let mut children = Vec::new();
     while let Some(entry) = state.heap.pop() {
-        match entry {
-            HeapEntry::Rec { record, .. } => {
-                if result_ids.contains(&record.id) || sky.dominated(&record.attrs) {
-                    continue;
-                }
-                let attrs = record.attrs.clone();
-                sky.insert(attrs, record);
+        if entry.record {
+            let record = state.record(entry.at);
+            if result_ids.contains(&entry.id) || sky.dominated(&record.attrs) {
+                continue;
             }
-            HeapEntry::Node { page, mbb, .. } => {
-                // An entry whose *top corner* is dominated cannot contain
-                // any skyline record — prune it without fetching the page.
-                if let Some(m) = &mbb {
-                    if sky.dominated(m.top_corner()) {
+            sky.insert(record.attrs.clone(), record.clone());
+            continue;
+        }
+        // An entry whose *top corner* is dominated cannot contain any
+        // skyline record — prune it without fetching the page.
+        if let Some(at) = entry.parent() {
+            if sky.dominated(state.mbb(at).top_corner()) {
+                continue;
+            }
+        }
+        let node = state.open(src, entry.id)?;
+        match state.entries(node) {
+            NodeEntries::Internal(cs) => {
+                for (slot, (child_mbb, child)) in cs.iter().enumerate() {
+                    if !sky.dominated(child_mbb.top_corner()) {
+                        // Keep popping in a monotone order: the
+                        // top-corner coordinate sum is a monotone
+                        // preference, which is all BBS needs.
+                        let at = Slot {
+                            node,
+                            slot: slot as u32,
+                        };
+                        let key = child_mbb.top_corner().coords().iter().sum();
+                        children.push(HeapEntry::node(*child, key, at));
+                    }
+                }
+            }
+            NodeEntries::Leaf(records) => {
+                for record in records {
+                    if result_ids.contains(&record.id) || sky.dominated(&record.attrs) {
                         continue;
                     }
-                }
-                match &tree.read_node(page)?.entries {
-                    NodeEntries::Internal(children) => {
-                        for (child_mbb, child) in children {
-                            if !sky.dominated(child_mbb.top_corner()) {
-                                // Keep popping in a monotone order: the
-                                // top-corner coordinate sum is a monotone
-                                // preference, which is all BBS needs.
-                                let maxscore = child_mbb.top_corner().coords().iter().sum();
-                                state.heap.push(HeapEntry::Node {
-                                    page: *child,
-                                    maxscore,
-                                    mbb: Some(child_mbb.clone()),
-                                });
-                            }
-                        }
-                    }
-                    NodeEntries::Leaf(records) => {
-                        for record in records {
-                            if result_ids.contains(&record.id) || sky.dominated(&record.attrs) {
-                                continue;
-                            }
-                            sky.insert(record.attrs.clone(), record.clone());
-                        }
-                    }
+                    sky.insert(record.attrs.clone(), record.clone());
                 }
             }
+        }
+        // One push each, as the traversal found them (`extend` may
+        // rebuild the heap in a different layout).
+        for child in children.drain(..) {
+            state.heap.push(child);
         }
     }
     Ok(sky)

@@ -377,7 +377,6 @@ impl ShardWorker {
                     &st.scoring,
                     StarMethod::for_method(method),
                     method,
-                    &result,
                     &ctx,
                     &shard_res,
                     frontier,

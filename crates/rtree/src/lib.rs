@@ -12,7 +12,8 @@
 //! * [`Record`] — the `(id, attributes)` rows stored at the leaves.
 //!
 //! Score-based traversal (BRS / BBS) lives in `gir-query`; this crate only
-//! provides the spatial substrate and node access with I/O accounting.
+//! provides the spatial substrate and node access with I/O accounting
+//! ([`NodeSource`]).
 
 pub mod mbb;
 pub mod node;
@@ -22,4 +23,4 @@ pub mod tree;
 pub use mbb::Mbb;
 pub use node::{Node, NodeEntries};
 pub use record::Record;
-pub use tree::{RTree, RTreeError};
+pub use tree::{NodeSource, RTree, RTreeError};

@@ -72,6 +72,28 @@ impl Entry {
     }
 }
 
+/// Where the read-only traversals (BRS, BBS, the Phase-2 sweeps) get
+/// their decoded nodes: the live [`RTree`], counting one logical page
+/// read per node, or an uncounted in-memory snapshot of it.
+pub trait NodeSource {
+    /// The root page.
+    fn root(&self) -> PageId;
+
+    /// The node at `page`.
+    fn node(&self, page: PageId) -> Result<Arc<Node>, RTreeError>;
+}
+
+impl NodeSource for RTree {
+    fn root(&self) -> PageId {
+        self.root
+    }
+
+    /// [`RTree::read_node`]: one counted logical read, faults included.
+    fn node(&self, page: PageId) -> Result<Arc<Node>, RTreeError> {
+        self.read_node(page)
+    }
+}
+
 /// An R\*-tree over a shared page store.
 pub struct RTree {
     store: Arc<dyn PageStore>,

@@ -25,10 +25,12 @@
 //! write lock, so concurrent lookups cannot interleave with a
 //! half-applied update.
 
-use gir_core::{BatchOutcome, CacheKey, DeltaBatch, GirCache, GirRegion, RepairRequest};
+use gir_core::{
+    BatchOutcome, CacheKey, CachedRecords, DeltaBatch, GirCache, GirRegion, RepairRequest,
+};
 #[cfg(test)]
 use gir_geometry::vector::PointD;
-use gir_query::{Record, ScoringFunction, TopKResult};
+use gir_query::{ScoringFunction, TopKResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -143,7 +145,7 @@ impl ShardedGirCache {
     /// also answer it (see [`GirCache::probe`] for the match rule).
     /// Concurrent lookups share the shard's read lock; counters are
     /// atomic and LRU promotion is best-effort.
-    pub fn get(&self, key: &CacheKey<'_>) -> Option<Vec<Record>> {
+    pub fn get(&self, key: &CacheKey<'_>) -> Option<CachedRecords> {
         let shard = &self.shards[self.shard_index(key.scoring, key.k)];
         let found = shard
             .cache
@@ -293,6 +295,7 @@ impl ShardedGirCache {
 mod tests {
     use super::*;
     use gir_geometry::hyperplane::{HalfSpace, Provenance};
+    use gir_query::Record;
 
     fn slab(x_lo: f64, x_hi: f64) -> GirRegion {
         let hs = vec![
