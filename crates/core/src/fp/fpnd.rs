@@ -142,7 +142,7 @@ pub fn fp_phase2_nd_ctx<S: NodeSource + ?Sized>(
         scoring.is_linear(),
         "FP relies on convex-hull properties that hold only for linear scoring (paper §7.2)"
     );
-    let mut star = StarHull::new(kth.attrs.clone());
+    let mut star = StarHull::new(kth.attrs.coords());
     let pruner = if opts.phase1_tightening {
         InterimPruner::new(interim, kth.attrs.clone())
     } else {
@@ -150,7 +150,7 @@ pub fn fp_phase2_nd_ctx<S: NodeSource + ?Sized>(
     };
     for seed in ctx.seeds {
         if !dominates(&kth.attrs, &seed.attrs) {
-            star.insert(&seed.attrs, seed.id);
+            star.insert(seed.attrs.coords(), seed.id);
         }
     }
 
@@ -173,7 +173,7 @@ pub fn fp_phase2_nd_ctx<S: NodeSource + ?Sized>(
     for rec in t {
         // insert() is a no-op (returns false) for below-star candidates;
         // no separate visibility pre-check needed.
-        star.insert(&rec.attrs, rec.id);
+        star.insert(rec.attrs.coords(), rec.id);
     }
 
     // Second step: the disk, through the retained node entries.
@@ -188,7 +188,7 @@ pub fn fp_phase2_nd_ctx<S: NodeSource + ?Sized>(
         },
         |(star, _), rec| {
             if rec.id != kth.id && !ctx.skips(rec.id) && !dominates(&kth.attrs, &rec.attrs) {
-                star.insert(&rec.attrs, rec.id);
+                star.insert(rec.attrs.coords(), rec.id);
             }
         },
     )?;

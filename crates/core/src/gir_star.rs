@@ -65,7 +65,7 @@ impl<'a> StarFan<'a> {
         StarFan {
             stars: r_minus
                 .iter()
-                .map(|(rank, rec)| (*rank, rec, StarHull::new(rec.attrs.clone())))
+                .map(|(rank, rec)| (*rank, rec, StarHull::new(rec.attrs.coords())))
                 .collect(),
         }
     }
@@ -75,7 +75,7 @@ impl<'a> StarFan<'a> {
     pub(crate) fn feed(&mut self, attrs: &PointD, id: u64) {
         for (_, pivot, star) in self.stars.iter_mut() {
             if !dominates(&pivot.attrs, attrs) {
-                star.insert(attrs, id);
+                star.insert(attrs.coords(), id);
             }
         }
     }
@@ -96,7 +96,7 @@ impl<'a> StarFan<'a> {
                 |_, (_, pivot, star)| {
                     for (attrs, id) in cands {
                         if !dominates(&pivot.attrs, attrs) {
-                            star.insert(attrs, *id);
+                            star.insert(attrs.coords(), *id);
                         }
                     }
                 },

@@ -13,14 +13,15 @@
 //! The mirror is a [`NodeSource`] that reads nothing: every traversal —
 //! `gir_query::brs_topk`, BBS, the Phase-2 sweeps — runs over it
 //! unchanged, with zero storage I/O. [`fp_sweep_mirror`] is the indexed
-//! FP Phase 2, seeded with the prune-index skyline so the
-//! incident-facet star is maximally tight before the first node test.
+//! FP Phase 2, seeded straight from the prune-index skyline's columns
+//! so the incident-facet star is maximally tight before the first node
+//! test.
 
 use crate::fp::StarHull;
-use gir_geometry::dominance::dominates;
+use gir_geometry::dominance::{dominates, dominates_slice};
 use gir_geometry::hyperplane::{HalfSpace, Provenance};
 use gir_geometry::vector::PointD;
-use gir_query::{brs_topk, ScoringFunction, SearchState, TopKResult};
+use gir_query::{brs_topk, Lane, RecordBlocks, ScoringFunction, SearchState, TopKResult};
 use gir_rtree::{Node, NodeEntries, NodeSource, RTree, RTreeError, Record};
 use gir_storage::PageId;
 use std::sync::Arc;
@@ -112,50 +113,70 @@ impl NodeSource for TreeMirror {
 }
 
 /// FP Phase 2 over the mirror: the incident-facet star pinned at `p_k`,
-/// seeded with `seeds` (the prune-index skyline minus the result —
-/// known candidates, so the star starts tight), then refined over the
-/// frontier's records and nodes. Star-based node pruning only: with a
-/// decoded mirror, opening a node costs a few comparisons, so the
-/// footnote-7 per-node LP no longer pays for itself.
+/// seeded with the `seeds` records outside `exclude` (the prune-index
+/// skyline minus the result — known candidates, so the star starts
+/// tight), then refined over the frontier's records and nodes.
+/// Star-based node pruning only: with a decoded mirror, opening a node
+/// costs a few comparisons, so the footnote-7 per-node LP no longer
+/// pays for itself.
 ///
-/// `seed_scores[i]` is seed `i`'s score at the current query (the
-/// caller computes them with the columnar
-/// `gir_query::RecordBlocks::linear_scores` kernel); candidates are
-/// inserted best-first so early facets prune the rest.
+/// Seeds are scored at `weights` by the columnar
+/// `gir_query::RecordBlocks::linear_scores` kernel and read straight
+/// from their columns — no seed record is materialised; candidates
+/// are inserted best-first so early facets prune the rest.
 ///
 /// Returns the critical half-spaces and the final facet count.
 pub fn fp_sweep_mirror(
     mirror: &TreeMirror,
     kth: &Record,
     mut frontier: SearchState,
-    seeds: &[Record],
-    seed_scores: &[f64],
+    seeds: &RecordBlocks,
+    weights: &[f64],
     exclude: &[u64],
 ) -> (Vec<HalfSpace>, usize) {
-    debug_assert_eq!(seeds.len(), seed_scores.len());
-    let mut star = StarHull::new(kth.attrs.clone());
+    /// A candidate: a skyline lane or a frontier record.
+    enum Cand<'a> {
+        Seed(Lane, u64),
+        Frontier(&'a Record),
+    }
+    let pk = kth.attrs.coords();
+    let mut star = StarHull::new(pk);
     let candidate = |rec: &Record| {
         rec.id != kth.id && !exclude.contains(&rec.id) && !dominates(&kth.attrs, &rec.attrs)
     };
 
     // Candidates best-first (by actual query score — the frontier
-    // already carries scores; seed scores come pre-fused).
+    // already carries scores, the kernel scores the seeds).
     let (records, nodes) = frontier.drain();
-    let mut cands: Vec<(&Record, f64)> = Vec::with_capacity(seeds.len() + records.len());
-    for (rec, &score) in seeds.iter().zip(seed_scores) {
-        if rec.id != kth.id && !dominates(&kth.attrs, &rec.attrs) {
-            cands.push((rec, score));
+    let mut attrs = vec![0.0; pk.len()];
+    let mut cands: Vec<(Cand<'_>, f64)> = Vec::with_capacity(seeds.len() + records.len());
+    seeds.linear_scores(weights, |at, id, score| {
+        if id == kth.id || exclude.contains(&id) {
+            return;
         }
-    }
+        seeds.attrs_into(at, &mut attrs);
+        if !dominates_slice(pk, &attrs) {
+            cands.push((Cand::Seed(at, id), score));
+        }
+    });
     cands.extend(
         records
             .iter()
             .map(|&(at, score)| (frontier.record(at), score))
-            .filter(|(rec, _)| candidate(rec)),
+            .filter(|(rec, _)| candidate(rec))
+            .map(|(rec, score)| (Cand::Frontier(rec), score)),
     );
     cands.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("non-NaN"));
-    for (rec, _) in &cands {
-        star.insert(&rec.attrs, rec.id);
+    for (cand, _) in &cands {
+        match *cand {
+            Cand::Seed(at, id) => {
+                seeds.attrs_into(at, &mut attrs);
+                star.insert(&attrs, id);
+            }
+            Cand::Frontier(rec) => {
+                star.insert(rec.attrs.coords(), rec.id);
+            }
+        }
     }
     drop(cands);
 
@@ -167,7 +188,7 @@ pub fn fp_sweep_mirror(
             |star, mbb| star.prunes_mbb(mbb),
             |star, rec| {
                 if candidate(rec) {
-                    star.insert(&rec.attrs, rec.id);
+                    star.insert(rec.attrs.coords(), rec.id);
                 }
             },
         )
@@ -270,8 +291,14 @@ mod tests {
             let (res_m, frontier) = mirror.topk(&f, &w, k);
             assert_eq!(res_m.ids(), res.ids());
             let exclude = res_m.ids();
-            let (mirror_hs, _) =
-                fp_sweep_mirror(&mirror, res_m.kth(), frontier, &[], &[], &exclude);
+            let (mirror_hs, _) = fp_sweep_mirror(
+                &mirror,
+                res_m.kth(),
+                frontier,
+                &RecordBlocks::new(d),
+                w.coords(),
+                &exclude,
+            );
 
             // Pointwise-equal Phase-2 regions.
             let mut s = seed ^ 0xBEEF;

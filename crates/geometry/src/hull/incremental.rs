@@ -8,7 +8,7 @@
 //! maintaining only the facets incident to one vertex.
 
 use super::{Facet, HullError};
-use crate::hyperplane::Hyperplane;
+use crate::hyperplane::{orient_away, plane_through, Hyperplane, PlaneScratch};
 use crate::vector::PointD;
 use crate::EPS;
 use std::collections::HashMap;
@@ -22,6 +22,9 @@ pub struct ConvexHull {
     live_facets: usize,
     interior: PointD,
     dim: usize,
+    /// The plane solver's reused buffers and its flat output.
+    solver: PlaneScratch,
+    plane: Vec<f64>,
 }
 
 impl ConvexHull {
@@ -42,6 +45,8 @@ impl ConvexHull {
             live_facets: 0,
             interior,
             dim: d,
+            solver: PlaneScratch::default(),
+            plane: vec![0.0; d + 1],
         };
         hull.init_simplex_facets(&simplex)?;
 
@@ -135,10 +140,7 @@ impl ConvexHull {
                 .enumerate()
                 .filter_map(|(i, &v)| (i != t).then_some(v))
                 .collect();
-            let pts: Vec<PointD> = vertices.iter().map(|&v| self.points[v].clone()).collect();
-            let plane = Hyperplane::through_points(&pts)
-                .and_then(|h| h.oriented_away_from(&self.interior))
-                .ok_or(HullError::Numerical)?;
+            let plane = self.facet_plane(&vertices)?;
             let id = self.alloc_facet(Facet {
                 vertices,
                 plane,
@@ -160,6 +162,22 @@ impl ConvexHull {
             }
         }
         Ok(())
+    }
+
+    /// The supporting plane through `vertices`, oriented away from the
+    /// interior point.
+    fn facet_plane(&mut self, vertices: &[usize]) -> Result<Hyperplane, HullError> {
+        let points = &self.points;
+        if plane_through(
+            &mut self.solver,
+            vertices.iter().map(|&v| points[v].coords()),
+            &mut self.plane,
+        ) && orient_away(&mut self.plane, self.interior.coords())
+        {
+            Ok(Hyperplane::from_flat(&self.plane))
+        } else {
+            Err(HullError::Numerical)
+        }
     }
 
     fn alloc_facet(&mut self, f: Facet) -> usize {
@@ -212,10 +230,7 @@ impl ConvexHull {
         for (ridge, outer) in horizon {
             let mut vertices = ridge.clone();
             vertices.push(idx);
-            let pts: Vec<PointD> = vertices.iter().map(|&v| self.points[v].clone()).collect();
-            let plane = Hyperplane::through_points(&pts)
-                .and_then(|h| h.oriented_away_from(&self.interior))
-                .ok_or(HullError::Numerical)?;
+            let plane = self.facet_plane(&vertices)?;
             let d = self.dim;
             let new_id = self.alloc_facet(Facet {
                 vertices: vertices.clone(),

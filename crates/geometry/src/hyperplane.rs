@@ -23,26 +23,29 @@ impl Hyperplane {
     /// or `None` when the points are affinely dependent.
     ///
     /// The normal orientation is arbitrary; use [`Hyperplane::oriented_away_from`]
-    /// to fix it.
+    /// to fix it. A convenience over [`plane_through`], which callers
+    /// that solve many planes use directly with a reused buffer.
     pub fn through_points(points: &[PointD]) -> Option<Hyperplane> {
         let d = points.first()?.dim();
         if points.len() != d {
             return None;
         }
-        if d == 1 {
-            return Some(Hyperplane {
-                normal: PointD::new(vec![1.0]),
-                offset: points[0][0],
-            });
+        let mut plane = vec![0.0; d + 1];
+        plane_through(
+            &mut PlaneScratch::default(),
+            points.iter().map(PointD::coords),
+            &mut plane,
+        )
+        .then(|| Hyperplane::from_flat(&plane))
+    }
+
+    /// The hyperplane stored flat as `[n_0 … n_{d−1}, offset]`.
+    pub fn from_flat(plane: &[f64]) -> Hyperplane {
+        let (normal, offset) = plane.split_at(plane.len() - 1);
+        Hyperplane {
+            normal: PointD::from(normal),
+            offset: offset[0],
         }
-        let rows: Vec<Vec<f64>> = points[1..]
-            .iter()
-            .map(|p| p.sub(&points[0]).coords().to_vec())
-            .collect();
-        let n = linalg::null_space_1(&rows)?;
-        let normal = PointD::from(n);
-        let offset = normal.dot(&points[0]);
-        Some(Hyperplane { normal, offset })
     }
 
     /// Signed distance-like evaluation: positive when `x` is on the
@@ -56,18 +59,89 @@ impl Hyperplane {
     /// Returns `None` when `p` lies on the plane (within [`EPS`]), in which
     /// case the orientation is ambiguous.
     pub fn oriented_away_from(&self, p: &PointD) -> Option<Hyperplane> {
-        let e = self.eval(p);
-        if e.abs() < EPS {
-            None
-        } else if e > 0.0 {
-            Some(Hyperplane {
-                normal: self.normal.scale(-1.0),
-                offset: -self.offset,
-            })
-        } else {
-            Some(self.clone())
-        }
+        let mut plane: Vec<f64> = self.normal.coords().to_vec();
+        plane.push(self.offset);
+        orient_away(&mut plane, p.coords()).then(|| Hyperplane::from_flat(&plane))
     }
+}
+
+/// Reused buffers for [`plane_through`]: the edge matrix and the pivot
+/// columns of its elimination. They grow to the largest `d` solved and
+/// are never shrunk, so repeated solves allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PlaneScratch {
+    edges: Vec<f64>,
+    pivots: Vec<usize>,
+}
+
+/// `normal · x − offset` for a plane stored flat as
+/// `[n_0 … n_{d−1}, offset]`: positive when `x` is on the normal side.
+#[inline]
+pub fn eval_flat(plane: &[f64], x: &[f64]) -> f64 {
+    let (normal, offset) = plane.split_at(x.len());
+    normal.iter().zip(x).map(|(a, b)| a * b).sum::<f64>() - offset[0]
+}
+
+/// Writes the hyperplane through `points` — `d` affinely independent
+/// points, `d = plane.len() − 1` — into `plane` as
+/// `[n_0 … n_{d−1}, offset]` with a unit normal, or returns `false`
+/// when there are not exactly `d` points or they are affinely
+/// dependent. The one plane solver of the workspace: the normal is the
+/// null space of the edge matrix `p_i − p_0` ([`linalg::null_space_1`]),
+/// eliminated in `scratch`. Its orientation is arbitrary; see
+/// [`orient_away`].
+pub fn plane_through<'a>(
+    scratch: &mut PlaneScratch,
+    points: impl IntoIterator<Item = &'a [f64]>,
+    plane: &mut [f64],
+) -> bool {
+    let d = plane.len() - 1;
+    let mut points = points.into_iter();
+    let Some(base) = points.next() else {
+        return false;
+    };
+    scratch.edges.clear();
+    let mut rows = 0;
+    for p in points {
+        scratch.edges.extend(p.iter().zip(base).map(|(a, b)| a - b));
+        rows += 1;
+    }
+    if rows + 1 != d {
+        return false;
+    }
+    let (normal, offset) = plane.split_at_mut(d);
+    if d == 1 {
+        normal[0] = 1.0;
+        offset[0] = base[0];
+        return true;
+    }
+    if scratch.pivots.len() < rows {
+        scratch.pivots.resize(rows, 0);
+    }
+    if !linalg::null_space_1(&mut scratch.edges, &mut scratch.pivots, normal) {
+        return false;
+    }
+    offset[0] = normal.iter().zip(base).map(|(a, b)| a * b).sum();
+    true
+}
+
+/// Flips the flat plane `[n_0 … n_{d−1}, offset]` in place so its
+/// normal points away from `p` (`eval_flat(plane, p) < 0`). Returns
+/// `false` when `p` lies on the plane (within [`EPS`]), where the
+/// orientation is ambiguous.
+pub fn orient_away(plane: &mut [f64], p: &[f64]) -> bool {
+    let e = eval_flat(plane, p);
+    if e.abs() < EPS {
+        return false;
+    }
+    if e > 0.0 {
+        let (normal, offset) = plane.split_at_mut(p.len());
+        for v in normal.iter_mut() {
+            *v *= -1.0;
+        }
+        offset[0] = -offset[0];
+    }
+    true
 }
 
 /// Provenance of a GIR half-space: which condition of Definition 1 (or the

@@ -2,7 +2,9 @@
 //!
 //! The hull and half-space code only ever solves systems whose size is the
 //! data dimensionality, so simple partial-pivoting elimination on a
-//! row-major `Vec<Vec<f64>>` is both adequate and easy to audit.
+//! row-major matrix is both adequate and easy to audit. The hot one,
+//! [`null_space_1`], runs on a flat caller-owned buffer and allocates
+//! nothing.
 
 use crate::EPS;
 
@@ -50,68 +52,69 @@ pub fn solve(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     Some((0..n).map(|i| m[i][n] / m[i][i]).collect())
 }
 
-/// Returns one unit vector spanning the null space of an `(n-1) × n`
-/// row-major matrix of full row rank, or `None` when the rows are linearly
-/// dependent (rank-deficient input).
+/// Writes one unit vector spanning the null space of an `(n-1) × n`
+/// matrix of full row rank into `x` (`n = x.len()`), returning `false`
+/// when the rows are linearly dependent (rank-deficient input).
 ///
-/// This is the hyperplane-normal computation: the normal of the hyperplane
-/// through `d` points is the null space of the `(d-1) × d` edge matrix.
-pub fn null_space_1(rows: &[Vec<f64>]) -> Option<Vec<f64>> {
-    let n = rows.first().map_or(0, |r| r.len());
-    debug_assert!(rows.len() + 1 == n, "expected (n-1) x n matrix");
-    let mut m: Vec<Vec<f64>> = rows.to_vec();
-    let r = rows.len();
-    // Track which column each elimination step pivots on; the leftover
-    // column is the free variable.
-    let mut pivot_col = vec![usize::MAX; r];
-    let mut used = vec![false; n];
+/// `m` holds the matrix row-major and flat (`(n-1)·n` entries) and is
+/// overwritten by the elimination; `pivot_col` is caller scratch of at
+/// least `n-1` entries. Nothing is allocated, so a caller that keeps
+/// both buffers solves any number of systems allocation-free.
+///
+/// This is the hyperplane-normal computation: the normal of the
+/// hyperplane through `d` points is the null space of the `(d-1) × d`
+/// edge matrix (see [`crate::hyperplane::plane_through`]).
+pub fn null_space_1(m: &mut [f64], pivot_col: &mut [usize], x: &mut [f64]) -> bool {
+    let n = x.len();
+    let r = n.saturating_sub(1);
+    debug_assert!(m.len() == r * n, "expected (n-1) x n matrix");
+    // `pivot_col[..row]` are the columns earlier steps pivoted on; the
+    // leftover column is the free variable.
     for row in 0..r {
-        // Find the largest available pivot in this row among unused columns.
+        // Find the largest available pivot in this row among unused
+        // columns (the last one on ties).
         let col = (0..n)
-            .filter(|&c| !used[c])
+            .filter(|c| !pivot_col[..row].contains(c))
             .max_by(|&i, &j| {
-                m[row][i]
+                m[row * n + i]
                     .abs()
-                    .partial_cmp(&m[row][j].abs())
+                    .partial_cmp(&m[row * n + j].abs())
                     .expect("non-NaN")
             })
             .expect("column available");
-        if m[row][col].abs() < EPS {
-            return None; // rank deficient
+        if m[row * n + col].abs() < EPS {
+            return false; // rank deficient
         }
-        used[col] = true;
         pivot_col[row] = col;
-        let inv = 1.0 / m[row][col];
+        let inv = 1.0 / m[row * n + col];
         for other in 0..r {
-            if other != row && m[other][col] != 0.0 {
-                let f = m[other][col] * inv;
-                // Indexing two rows of `m` at once: an iterator over one
-                // row would alias the other borrow.
-                #[allow(clippy::needless_range_loop)]
+            if other != row && m[other * n + col] != 0.0 {
+                let f = m[other * n + col] * inv;
                 for k in 0..n {
-                    let v = m[row][k];
-                    m[other][k] -= f * v;
+                    let v = m[row * n + k];
+                    m[other * n + k] -= f * v;
                 }
             }
         }
     }
-    let free = (0..n).find(|&c| !used[c]).expect("one free column");
+    let free = (0..n)
+        .find(|c| !pivot_col[..r].contains(c))
+        .expect("one free column");
     // Back-substitute with the free variable set to 1.
-    let mut x = vec![0.0; n];
+    x.fill(0.0);
     x[free] = 1.0;
-    for row in 0..r {
-        let c = pivot_col[row];
-        x[c] = -m[row][free] / m[row][c];
+    for (row, &c) in pivot_col[..r].iter().enumerate() {
+        x[c] = -m[row * n + free] / m[row * n + c];
     }
     // Normalize.
     let norm: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
     if norm < EPS {
-        return None;
+        return false;
     }
     for v in x.iter_mut() {
         *v /= norm;
     }
-    Some(x)
+    true
 }
 
 /// Determinant of a small square row-major matrix (used for simplex volumes).
@@ -175,8 +178,9 @@ mod tests {
     #[test]
     fn null_space_of_plane_edges() {
         // Edges of the plane x + y + z = 1 through (1,0,0),(0,1,0),(0,0,1).
-        let rows = vec![vec![-1.0, 1.0, 0.0], vec![-1.0, 0.0, 1.0]];
-        let n = null_space_1(&rows).unwrap();
+        let mut rows = [-1.0, 1.0, 0.0, -1.0, 0.0, 1.0];
+        let mut n = [0.0; 3];
+        assert!(null_space_1(&mut rows, &mut [0; 2], &mut n));
         // Normal must be parallel to (1,1,1)/sqrt(3).
         let s = 1.0 / 3f64.sqrt();
         let same = (n[0] - s).abs() < 1e-9 && (n[1] - s).abs() < 1e-9 && (n[2] - s).abs() < 1e-9;
@@ -186,15 +190,15 @@ mod tests {
 
     #[test]
     fn null_space_rank_deficient_is_none() {
-        let rows = vec![vec![1.0, 0.0, 0.0], vec![2.0, 0.0, 0.0]];
-        assert!(null_space_1(&rows).is_none());
+        let mut rows = [1.0, 0.0, 0.0, 2.0, 0.0, 0.0];
+        assert!(!null_space_1(&mut rows, &mut [0; 2], &mut [0.0; 3]));
     }
 
     #[test]
     fn null_space_2d_segment() {
         // A single edge (1,1): normal is (1,-1)/sqrt(2) up to sign.
-        let rows = vec![vec![1.0, 1.0]];
-        let n = null_space_1(&rows).unwrap();
+        let mut n = [0.0; 2];
+        assert!(null_space_1(&mut [1.0, 1.0], &mut [0; 1], &mut n));
         assert!((n[0] + n[1]).abs() < 1e-9);
         assert!((n[0].abs() - 1.0 / 2f64.sqrt()).abs() < 1e-9);
     }

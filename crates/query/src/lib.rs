@@ -24,7 +24,7 @@ pub use naive::{naive_skyline, naive_topk};
 pub use rtree_reexports::*;
 pub use score::{QueryVector, ScoringFunction, Transform};
 pub use skyline::bbs_skyline;
-pub use soa::{RecordBlocks, SOA_BLOCK};
+pub use soa::{Lane, RecordBlocks, SOA_BLOCK};
 
 mod rtree_reexports {
     pub use gir_rtree::Record;

@@ -49,6 +49,14 @@ impl Block {
     }
 }
 
+/// A stored record's position: its block and lane. Valid until the
+/// next [`RecordBlocks::remove`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane {
+    block: u32,
+    lane: u32,
+}
+
 /// A chunked column-major record store (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct RecordBlocks {
@@ -237,14 +245,14 @@ impl RecordBlocks {
         }
     }
 
-    /// Fused linear-score kernel: emits `(id, w · attrs)` for every
-    /// stored record, in storage order (see
+    /// Fused linear-score kernel: emits `(lane, id, w · attrs)` for
+    /// every stored record, in storage order (see
     /// [`RecordBlocks::materialize_if`]). The multiply-add inner loop
     /// runs column-major over contiguous slices.
-    pub fn linear_scores(&self, w: &[f64], mut emit: impl FnMut(u64, f64)) {
+    pub fn linear_scores(&self, w: &[f64], mut emit: impl FnMut(Lane, u64, f64)) {
         debug_assert_eq!(w.len(), self.d);
         let mut acc = [0.0f64; SOA_BLOCK];
-        for block in &self.blocks {
+        for (bi, block) in self.blocks.iter().enumerate() {
             let n = block.len();
             acc[..n].fill(0.0);
             for (col, &wj) in block.cols.iter().zip(w) {
@@ -252,9 +260,22 @@ impl RecordBlocks {
                     *a += wj * v;
                 }
             }
-            for (&id, &score) in block.ids.iter().zip(&acc[..n]) {
-                emit(id, score);
+            for (lane, (&id, &score)) in block.ids.iter().zip(&acc[..n]).enumerate() {
+                let at = Lane {
+                    block: bi as u32,
+                    lane: lane as u32,
+                };
+                emit(at, id, score);
             }
+        }
+    }
+
+    /// Copies the attributes of the record at `at` into `out` (`d`
+    /// entries) — a record read without materialising it.
+    pub fn attrs_into(&self, at: Lane, out: &mut [f64]) {
+        let block = &self.blocks[at.block as usize];
+        for (o, col) in out.iter_mut().zip(&block.cols) {
+            *o = col[at.lane as usize];
         }
     }
 }
@@ -360,8 +381,11 @@ mod tests {
         let rb = RecordBlocks::from_records(4, &recs);
         let w = [0.3, 0.9, 0.1, 0.6];
         let mut got: HashMap<u64, f64> = HashMap::new();
-        rb.linear_scores(&w, |id, s| {
+        let mut attrs = [0.0; 4];
+        rb.linear_scores(&w, |at, id, s| {
             got.insert(id, s);
+            rb.attrs_into(at, &mut attrs);
+            assert_eq!(PointD::from(&attrs[..]), rb.get(id).unwrap());
         });
         assert_eq!(got.len(), recs.len());
         for r in &recs {
