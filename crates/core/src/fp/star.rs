@@ -43,7 +43,7 @@
 
 use gir_geometry::hull::ConvexHull;
 use gir_geometry::hyperplane::{eval_flat, orient_away, plane_through, PlaneScratch};
-use gir_geometry::vector::PointD;
+use gir_geometry::vector::{centroid, PointD};
 use gir_geometry::EPS;
 use gir_rtree::Mbb;
 use std::collections::HashSet;
@@ -118,16 +118,7 @@ impl StarHull {
             coords[start + i] -= apex[i].max(1e-3);
         }
         // The centroid of the apex and the seeds.
-        let mut interior = apex.to_vec();
-        for p in coords[d..].chunks_exact(d) {
-            for (a, b) in interior.iter_mut().zip(p) {
-                *a += *b;
-            }
-        }
-        let inv = 1.0 / (d + 1) as f64;
-        for a in interior.iter_mut() {
-            *a *= inv;
-        }
+        let interior = centroid(coords.chunks_exact(d));
 
         let mut star = StarHull {
             d,

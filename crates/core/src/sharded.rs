@@ -88,13 +88,8 @@ pub fn merge_ranked_lists<'a>(
     k: usize,
 ) -> Vec<(Record, f64)> {
     let mut merged: Vec<&(Record, f64)> = runs.into_iter().flat_map(|res| &res.ranked).collect();
-    merged.sort_by(|a, b| merge_order(a, b));
+    merged.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| b.0.id.cmp(&a.0.id)));
     merged.into_iter().take(k).cloned().collect()
-}
-
-/// The merge's order: `(score desc, id desc)`.
-fn merge_order(a: &(Record, f64), b: &(Record, f64)) -> std::cmp::Ordering {
-    b.1.total_cmp(&a.1).then_with(|| b.0.id.cmp(&a.0.id))
 }
 
 fn merge_ranked(runs: &[(TopKResult, SearchState)], k: usize) -> Vec<(Record, f64)> {
@@ -197,43 +192,38 @@ pub fn shard_gir_system(
         return Ok((Arc::new(hs), st.structure_size, false));
     }
 
-    memoised_system(shard, scoring, method, &ctx.ids_sorted, &ctx.kth, || {
-        shard_phase2(scoring, q, method, state, mirror, result, ctx, frontier)
-    })
-}
-
-/// The shard's Phase-2 system for `(method, global result set, p_k)`:
-/// the cached one when the ranking recurs (maintained exactly under
-/// this shard's deltas), else `compute`'s, admitted for reuse.
-/// Returns `(system, structure_size, cache_hit)`.
-fn memoised_system(
-    shard: ShardView<'_>,
-    scoring: &ScoringFunction,
-    method: Method,
-    ids_sorted: &[u64],
-    kth: &Record,
-    compute: impl FnOnce() -> Result<(Vec<HalfSpace>, usize), GirError>,
-) -> Result<(Arc<Vec<HalfSpace>>, usize, bool), GirError> {
-    let lookup = shard
-        .index
-        .phase2_lookup(RegionKind::Gir, method, ids_sorted, kth.id, scoring);
-    if let Some((hs, structure)) = lookup {
-        return Ok((hs, structure, true));
-    }
-    let (hs, structure) = compute()?;
-    let hs = Arc::new(hs);
-    shard.index.phase2_admit(
+    // The per-shard Phase-2 system depends only on (method, global
+    // result set, p_k): reuse the shard's cached system when the
+    // ranking recurs (maintained exactly under this shard's deltas).
+    let lookup = shard.index.phase2_lookup(
         RegionKind::Gir,
         method,
-        ids_sorted.to_vec(),
-        kth.id,
+        &ctx.ids_sorted,
+        ctx.kth.id,
         scoring,
-        scoring.transform_point(&kth.attrs),
-        Vec::new(),
-        hs.clone(),
-        structure,
     );
-    Ok((hs, structure, false))
+    let cached = lookup.is_some();
+    let (phase2, structure) = match lookup {
+        Some(hit) => hit,
+        None => {
+            let (hs, structure) =
+                shard_phase2(scoring, q, method, state, mirror, result, ctx, frontier)?;
+            let hs = Arc::new(hs);
+            shard.index.phase2_admit(
+                RegionKind::Gir,
+                method,
+                ctx.ids_sorted.clone(),
+                ctx.kth.id,
+                scoring,
+                scoring.transform_point(&ctx.kth.attrs),
+                Vec::new(),
+                hs.clone(),
+                structure,
+            );
+            (hs, structure)
+        }
+    };
+    Ok((phase2, structure, cached))
 }
 
 /// Computes the global top-k and its GIR over a sharded dataset (see
@@ -257,9 +247,6 @@ pub fn gir_sharded(
     let d = scoring.dim();
     for s in shards {
         assert_eq!(s.tree.dim(), d, "shard dimensionality mismatch");
-    }
-    if let [shard] = shards {
-        return gir_single(*shard, scoring, q, k, method);
     }
 
     // Shared-state fetch first, then I/O counters: lazy index builds are
@@ -359,86 +346,6 @@ pub fn gir_sharded(
             .sum(),
         candidates,
         structure_size: structure_total,
-        halfspaces: region.num_halfspaces(),
-    };
-    Ok(GirOutput {
-        result,
-        region,
-        stats,
-    })
-}
-
-/// [`gir_sharded`] for S = 1, inline: the same spans, result, region
-/// and stats, without the fan-out's per-call vectors (snapshots, I/O
-/// stats, items, outputs). The only shard's ranked list *is* the
-/// merged result — sorted by the merge's order, every record is kept
-/// (BRS ranks at most k) — so nothing needs re-seeding, and a Phase-2
-/// memo hit builds no result-id set.
-fn gir_single(
-    shard: ShardView<'_>,
-    scoring: &ScoringFunction,
-    q: &QueryVector,
-    k: usize,
-    method: Method,
-) -> Result<GirOutput, GirError> {
-    let state = shard.index.snapshot(shard.tree)?;
-    let mirror = state.mirror(shard.tree)?;
-    let store = shard.tree.store();
-    let io_before = store.stats();
-
-    let t0 = Instant::now();
-    let (shard_res, frontier) = {
-        let _s = tracing::span!("shard_topk", shard = 0);
-        mirror.topk(scoring, &q.weights, k)
-    };
-    let merge_span = tracing::span!("merge", shards = 1);
-    let mut ranked = shard_res.ranked;
-    debug_assert!(ranked.len() <= k);
-    ranked.sort_by(merge_order);
-    if ranked.is_empty() {
-        return Err(GirError::EmptyResult);
-    }
-    let result = TopKResult { ranked };
-    drop(merge_span);
-    let topk_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let io_topk = store.stats();
-
-    let t1 = Instant::now();
-    let phase1_span = tracing::span!("phase1", k = k);
-    let mut halfspaces = ordering_halfspaces(&result, scoring);
-    drop(phase1_span);
-
-    let mut shard_span = tracing::span!("shard_phase2", shard = 0, method = method.label());
-    let (phase2, structure, cached) = if method == Method::FullScan {
-        let ctx = GirPhase2Ctx::new(&result);
-        shard_gir_system(
-            shard, &state, &mirror, scoring, q, method, &result, &ctx, &result, frontier,
-        )?
-    } else {
-        let mut ids_sorted = result.ids();
-        ids_sorted.sort_unstable();
-        memoised_system(shard, scoring, method, &ids_sorted, result.kth(), || {
-            let ctx = GirPhase2Ctx::new(&result);
-            shard_phase2(scoring, q, method, &state, &mirror, &result, &ctx, frontier)
-        })?
-    };
-    if method != Method::FullScan {
-        shard_span.record("cached", cached);
-    }
-    shard_span.record("candidates", phase2.len());
-    drop(shard_span);
-    let candidates = phase2.len();
-    halfspaces.extend(phase2.iter().cloned());
-
-    let region = GirRegion::new(scoring.dim(), q.weights.clone(), halfspaces);
-    let gir_cpu_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let stats = GirStats {
-        topk_ms,
-        topk_pages: io_topk.reads_since(&io_before),
-        gir_cpu_ms,
-        gir_pages: store.stats().reads_since(&io_topk),
-        candidates,
-        structure_size: structure,
         halfspaces: region.num_halfspaces(),
     };
     Ok(GirOutput {

@@ -19,26 +19,6 @@ pub struct Hyperplane {
 }
 
 impl Hyperplane {
-    /// Builds the hyperplane through `d` affinely independent points,
-    /// or `None` when the points are affinely dependent.
-    ///
-    /// The normal orientation is arbitrary; use [`Hyperplane::oriented_away_from`]
-    /// to fix it. A convenience over [`plane_through`], which callers
-    /// that solve many planes use directly with a reused buffer.
-    pub fn through_points(points: &[PointD]) -> Option<Hyperplane> {
-        let d = points.first()?.dim();
-        if points.len() != d {
-            return None;
-        }
-        let mut plane = vec![0.0; d + 1];
-        plane_through(
-            &mut PlaneScratch::default(),
-            points.iter().map(PointD::coords),
-            &mut plane,
-        )
-        .then(|| Hyperplane::from_flat(&plane))
-    }
-
     /// The hyperplane stored flat as `[n_0 … n_{d−1}, offset]`.
     pub fn from_flat(plane: &[f64]) -> Hyperplane {
         let (normal, offset) = plane.split_at(plane.len() - 1);
@@ -53,15 +33,6 @@ impl Hyperplane {
     #[inline]
     pub fn eval(&self, x: &PointD) -> f64 {
         self.normal.dot(x) - self.offset
-    }
-
-    /// Returns a copy whose normal points away from `p` (i.e. `eval(p) ≤ 0`).
-    /// Returns `None` when `p` lies on the plane (within [`EPS`]), in which
-    /// case the orientation is ambiguous.
-    pub fn oriented_away_from(&self, p: &PointD) -> Option<Hyperplane> {
-        let mut plane: Vec<f64> = self.normal.coords().to_vec();
-        plane.push(self.offset);
-        orient_away(&mut plane, p.coords()).then(|| Hyperplane::from_flat(&plane))
     }
 }
 
@@ -229,31 +200,45 @@ impl HalfSpace {
 mod tests {
     use super::*;
 
+    /// The plane through `pts`, flat, or `None` when they are dependent.
+    fn plane(pts: &[&[f64]]) -> Option<Vec<f64>> {
+        let mut plane = vec![0.0; pts[0].len() + 1];
+        plane_through(
+            &mut PlaneScratch::default(),
+            pts.iter().copied(),
+            &mut plane,
+        )
+        .then_some(plane)
+    }
+
     #[test]
     fn plane_through_2d_points() {
-        let pts = [PointD::new(vec![1.0, 0.0]), PointD::new(vec![0.0, 1.0])];
-        let h = Hyperplane::through_points(&pts).unwrap();
+        let h = plane(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
         // x + y = 1 (up to sign/scale of unit normal).
-        assert!(h.eval(&PointD::new(vec![0.5, 0.5])).abs() < 1e-9);
-        assert!(h.eval(&PointD::new(vec![0.0, 0.0])).abs() > 0.5);
+        assert!(eval_flat(&h, &[0.5, 0.5]).abs() < 1e-9);
+        assert!(eval_flat(&h, &[0.0, 0.0]).abs() > 0.5);
+        assert!(Hyperplane::from_flat(&h).eval(&PointD::zeros(2)).abs() > 0.5);
     }
 
     #[test]
     fn plane_through_degenerate_points_is_none() {
-        let pts = [PointD::new(vec![0.5, 0.5]), PointD::new(vec![0.5, 0.5])];
-        assert!(Hyperplane::through_points(&pts).is_none());
+        assert!(plane(&[&[0.5, 0.5], &[0.5, 0.5]]).is_none());
+        // Not exactly d points.
+        assert!(plane(&[&[0.5, 0.5]]).is_none());
     }
 
     #[test]
     fn orientation_away_from_point() {
-        let pts = [PointD::new(vec![1.0, 0.0]), PointD::new(vec![0.0, 1.0])];
-        let h = Hyperplane::through_points(&pts).unwrap();
-        let origin = PointD::zeros(2);
-        let o = h.oriented_away_from(&origin).unwrap();
-        assert!(o.eval(&origin) < 0.0);
-        assert!(o.eval(&PointD::new(vec![1.0, 1.0])) > 0.0);
+        let mut h = plane(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
+        assert!(orient_away(&mut h, &[0.0, 0.0]));
+        assert!(eval_flat(&h, &[0.0, 0.0]) < 0.0);
+        assert!(eval_flat(&h, &[1.0, 1.0]) > 0.0);
+        // Already oriented: a second call leaves the plane as it is.
+        let before = h.clone();
+        assert!(orient_away(&mut h, &[0.0, 0.0]));
+        assert_eq!(h, before);
         // A point on the plane cannot orient it.
-        assert!(h.oriented_away_from(&PointD::new(vec![0.5, 0.5])).is_none());
+        assert!(!orient_away(&mut h, &[0.5, 0.5]));
     }
 
     #[test]
@@ -290,14 +275,10 @@ mod tests {
 
     #[test]
     fn plane_through_3d_points() {
-        let pts = [
-            PointD::new(vec![1.0, 0.0, 0.0]),
-            PointD::new(vec![0.0, 1.0, 0.0]),
-            PointD::new(vec![0.0, 0.0, 1.0]),
-        ];
-        let h = Hyperplane::through_points(&pts).unwrap();
-        for p in &pts {
-            assert!(h.eval(p).abs() < 1e-9);
+        let pts: [&[f64]; 3] = [&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]];
+        let h = plane(&pts).unwrap();
+        for p in pts {
+            assert!(eval_flat(&h, p).abs() < 1e-9);
         }
     }
 }

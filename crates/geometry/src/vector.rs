@@ -133,17 +133,7 @@ impl PointD {
 
     /// Centroid of a non-empty set of points.
     pub fn centroid<'a>(points: impl IntoIterator<Item = &'a PointD>) -> PointD {
-        let mut it = points.into_iter();
-        let first = it.next().expect("centroid of empty set");
-        let mut acc = first.clone();
-        let mut count = 1usize;
-        for p in it {
-            for (a, b) in acc.0.iter_mut().zip(p.0.iter()) {
-                *a += *b;
-            }
-            count += 1;
-        }
-        acc.scale(1.0 / count as f64)
+        PointD(centroid(points.into_iter().map(PointD::coords)).into())
     }
 
     /// The projection of `self` onto coordinate axis `i`: a point that is
@@ -203,6 +193,26 @@ impl From<&[f64]> for PointD {
     fn from(v: &[f64]) -> Self {
         PointD(v.into())
     }
+}
+
+/// Centroid of a non-empty set of points given as coordinate slices —
+/// the flat form of [`PointD::centroid`], for callers that keep points
+/// in one buffer.
+pub fn centroid<'a>(points: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64> {
+    let mut it = points.into_iter();
+    let mut acc = it.next().expect("centroid of empty set").to_vec();
+    let mut count = 1usize;
+    for p in it {
+        for (a, b) in acc.iter_mut().zip(p) {
+            *a += *b;
+        }
+        count += 1;
+    }
+    let inv = 1.0 / count as f64;
+    for a in acc.iter_mut() {
+        *a *= inv;
+    }
+    acc
 }
 
 #[cfg(test)]
